@@ -19,7 +19,6 @@ from .dd_approx import (
 )
 from .factorization import (
     IncidenceMatrix,
-    build_element_factors,
     build_incidence,
     save_incidence,
     verify_first_factorization,
@@ -80,7 +79,6 @@ __all__ = [
     "assemble_load",
     "build_dbar",
     "build_dd_approximation",
-    "build_element_factors",
     "build_h_blocks",
     "build_incidence",
     "build_kbar",

@@ -7,9 +7,10 @@ nodes and over Gauss points,
 
     [J^-T grad N_mu] . theta [J^-T grad N_nu] det(J) omega_k,
 
-with J the Jacobian at the Gauss point.  Element matrices are built dense
-(at most 10 x 10) and scattered; the scatter keeps one value per unordered
-index pair so the result is symmetric by construction.
+with J the Jacobian at the Gauss point.  Every element quantity is computed
+for all elements at once as a stacked array with the element index leading.
+Element matrices (at most 10 x 10 each) are summed into the upper triangle in
+one COO pass and mirrored, so the result is symmetric by construction.
 """
 
 from __future__ import annotations
@@ -34,31 +35,43 @@ MATRIX_HEADER = "ddfem-matrix v1"
 
 @dataclass(frozen=True, eq=False)
 class ElementGeometry:
-    """Per-Gauss-point geometry of one element map."""
+    """Per-Gauss-point geometry of every element map, element index leading."""
 
-    t: int
-    jacobians: np.ndarray            # (q, d, d)
-    inverse_transposes: np.ndarray   # (q, d, d)
-    dets: np.ndarray                 # (q,)
-    theta_vals: np.ndarray           # (q,)
+    jacobians: np.ndarray            # (m, q, d, d)
+    inverse_transposes: np.ndarray   # (m, q, d, d)
+    dets: np.ndarray                 # (m, q)
+    theta_vals: np.ndarray           # (m, q)
+
+
+def _mirrored_csr(n: int, rows, cols, vals) -> sp.csr_matrix:
+    # Sum the upper-triangle triplets, then copy each strictly upper entry
+    # below the diagonal: both halves hold the same floating-point value.
+    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr().tocoo()
+    off = upper.row != upper.col
+    return sp.csr_matrix(
+        (np.concatenate([upper.data, upper.data[off]]),
+         (np.concatenate([upper.row, upper.col[off]]),
+          np.concatenate([upper.col, upper.row[off]]))),
+        shape=(n, n))
 
 
 class SparseSymmetricMatrix:
-    """Symmetric sparse matrix storing one value per unordered index pair."""
+    """Symmetric sparse matrix held as CSR, mirrored from its upper triangle."""
 
     def __init__(self, n: int, upper: dict[tuple[int, int], float]):
+        """Build from a ``{(i, j): value}`` map with i <= j."""
+        keys = np.array(list(upper), dtype=np.int64).reshape(-1, 2)
+        vals = np.fromiter(upper.values(), dtype=float, count=len(upper))
         self.n = n
-        self._upper = dict(upper)
-        rows, cols, vals = [], [], []
-        for (i, j), v in upper.items():
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-            if i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(v)
-        self.csr = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        self.csr = _mirrored_csr(n, keys[:, 0], keys[:, 1], vals)
+
+    @classmethod
+    def from_upper(cls, n: int, rows, cols, vals) -> "SparseSymmetricMatrix":
+        """Sum (row, col, value) triplets with row <= col; duplicates add up."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.csr = _mirrored_csr(n, rows, cols, vals)
+        return out
 
     @property
     def nnz(self) -> int:
@@ -75,8 +88,10 @@ class SparseSymmetricMatrix:
 
     def upper_entries(self):
         """Stored (i, j, value) triplets with i <= j, sorted."""
-        for (i, j) in sorted(self._upper):
-            yield i, j, self._upper[(i, j)]
+        upper = sp.triu(self.csr, format="csr")
+        upper.sort_indices()
+        rows = np.repeat(np.arange(self.n), np.diff(upper.indptr))
+        return zip(rows.tolist(), upper.indices.tolist(), upper.data.tolist())
 
     def save_text(self, target) -> None:
         close = False
@@ -119,38 +134,46 @@ class SparseSymmetricMatrix:
             tok = stripped.split()
             if len(tok) != 4 or tok[0] != "entry":
                 raise MeshFormatError(f"bad entry line {raw!r}", line=ln)
-            i, j, v = int(tok[1]) - 1, int(tok[2]) - 1, float(tok[3])
+            try:
+                i, j, v = int(tok[1]) - 1, int(tok[2]) - 1, float(tok[3])
+            except ValueError:
+                raise MeshFormatError(f"bad entry line {raw!r}", line=ln) from None
             if not (0 <= i <= j < n):
                 raise MeshFormatError(f"entry indices out of range in {raw!r}", line=ln)
+            if not np.isfinite(v):
+                raise MeshFormatError(f"non-finite entry value in {raw!r}", line=ln)
             upper[(i, j)] = v
         return cls(n, upper)
 
 
-def _det_small(m: np.ndarray) -> float:
-    if m.shape == (2, 2):
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+def _det_small(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 2 x 2 or 3 x 3 matrices (closed form)."""
+    if m.shape[-1] == 2:
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return (
+        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
     )
 
 
-def _inverse_transpose_small(m: np.ndarray, det: float) -> np.ndarray:
-    if m.shape == (2, 2):
-        return np.array([[m[1, 1], -m[1, 0]], [-m[0, 1], m[0, 0]]]) / det
-    cof = np.empty((3, 3))
-    cof[0, 0] = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-    cof[0, 1] = -(m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-    cof[0, 2] = m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]
-    cof[1, 0] = -(m[0, 1] * m[2, 2] - m[0, 2] * m[2, 1])
-    cof[1, 1] = m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-    cof[1, 2] = -(m[0, 0] * m[2, 1] - m[0, 1] * m[2, 0])
-    cof[2, 0] = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
-    cof[2, 1] = -(m[0, 0] * m[1, 2] - m[0, 2] * m[1, 0])
-    cof[2, 2] = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def _inverse_transpose_small(m: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Inverse transposes of a stack of 2 x 2 or 3 x 3 matrices (cofactors / det)."""
+    cof = np.empty_like(m)
+    if m.shape[-1] == 2:
+        cof[..., 0, 0] = m[..., 1, 1]
+        cof[..., 0, 1] = -m[..., 1, 0]
+        cof[..., 1, 0] = -m[..., 0, 1]
+        cof[..., 1, 1] = m[..., 0, 0]
+    else:
+        for r in range(3):
+            r1, r2 = (r + 1) % 3, (r + 2) % 3
+            for c in range(3):
+                c1, c2 = (c + 1) % 3, (c + 2) % 3
+                cof[..., r, c] = (m[..., r1, c1] * m[..., r2, c2]
+                                  - m[..., r1, c2] * m[..., r2, c1])
     # inverse = cof^T / det, so inverse-transpose = cof / det
-    return cof / det
+    return cof / det[..., None, None]
 
 
 def reference_tables(ref: ReferenceElement, rule: QuadratureRule):
@@ -161,97 +184,76 @@ def reference_tables(ref: ReferenceElement, rule: QuadratureRule):
 
 
 def element_geometry(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
-                     theta: ConductivityField, t: int,
-                     tables=None) -> ElementGeometry:
-    """Jacobians, inverse transposes, determinants and conductivities for element t.
+                     theta: ConductivityField, tables=None) -> ElementGeometry:
+    """Jacobians, inverse transposes, determinants and conductivities of all elements.
 
-    Raises ElementOrientationError when a determinant is nonpositive (or
-    vanishing relative to the Jacobian scale), and lets the conductivity
-    field's own positivity error propagate.
+    Raises ElementOrientationError for the first element and Gauss point
+    whose determinant is not positive (or vanishing relative to the Jacobian
+    scale, or NaN), and lets the conductivity field's own positivity error
+    propagate.
     """
     vals, grads = tables if tables is not None else reference_tables(ref, rule)
-    coords = mesh.nodes[mesh.elements[t]]          # (l, d)
-    q, d = rule.q, mesh.d
-    jac = np.empty((q, d, d))
-    inv_t = np.empty((q, d, d))
-    dets = np.empty(q)
-    theta_vals = np.empty(q)
-    for k in range(q):
-        jk = coords.T @ grads[k]                   # (d, d)
-        det = _det_small(jk)
-        scale = float(np.abs(jk).max())
-        if det <= DEGENERACY_RTOL * scale ** d:
-            raise ElementOrientationError(t, k, det)
-        jac[k] = jk
-        dets[k] = det
-        inv_t[k] = _inverse_transpose_small(jk, det)
-        point = coords.T @ vals[k]
-        theta_vals[k] = eval_conductivity(theta, point, element=t)
-    return ElementGeometry(t=t, jacobians=jac, inverse_transposes=inv_t,
+    d = mesh.d
+    coords = mesh.nodes[mesh.elements]                       # (m, l, d)
+    # J[t, k] = coords[t]^T grads[k]
+    jac = np.einsum("tla,klb->tkab", coords, grads)          # (m, q, d, d)
+    dets = _det_small(jac)
+    scale = np.abs(jac).max(axis=(-2, -1))
+    bad = ~(dets > DEGENERACY_RTOL * scale ** d)
+    if bad.any():
+        t, k = np.argwhere(bad)[0]
+        raise ElementOrientationError(int(t), int(k), float(dets[t, k]))
+    points = np.einsum("tla,kl->tka", coords, vals)          # (m, q, d)
+    theta_vals = eval_conductivity(theta, points,
+                                   element=np.arange(mesh.n_elements)[:, None])
+    return ElementGeometry(jacobians=jac,
+                           inverse_transposes=_inverse_transpose_small(jac, dets),
                            dets=dets, theta_vals=theta_vals)
 
 
 def element_stiffness(geom: ElementGeometry, ref: ReferenceElement,
                       rule: QuadratureRule, tables=None) -> np.ndarray:
-    """Dense l x l element stiffness matrix (no Dirichlet reduction)."""
+    """Dense element stiffness matrices, shape (m, l, l) (no Dirichlet reduction)."""
     _, grads = tables if tables is not None else reference_tables(ref, rule)
-    l = ref.l
-    out = np.zeros((l, l))
-    for k in range(rule.q):
-        phys = geom.inverse_transposes[k] @ grads[k].T       # (d, l)
-        w = rule.weights[k] * geom.theta_vals[k] * geom.dets[k]
-        out += w * (phys.T @ phys)
-    return out
+    phys = grads @ geom.inverse_transposes.swapaxes(-1, -2)  # (m, q, l, d)
+    w = rule.weights * geom.theta_vals * geom.dets           # (m, q)
+    m, q, l, d = phys.shape
+    right = phys.transpose(0, 2, 1, 3).reshape(m, l, q * d)
+    left = (w[:, :, None, None] * phys).transpose(0, 2, 1, 3).reshape(m, l, q * d)
+    out = left @ right.swapaxes(1, 2)
+    # Averaging with the transpose makes every block exactly symmetric.
+    return 0.5 * (out + out.swapaxes(1, 2))
 
 
-def all_element_geometries(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
-                           theta: ConductivityField) -> list[ElementGeometry]:
-    tables = reference_tables(ref, rule)
-    return [element_geometry(mesh, ref, rule, theta, t, tables=tables)
-            for t in range(mesh.n_elements)]
-
-
-def assemble_global(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
-                    theta: ConductivityField,
-                    geometries: list[ElementGeometry] | None = None,
-                    ) -> SparseSymmetricMatrix:
-    """Assemble the reduced stiffness matrix over the non-Dirichlet nodes."""
-    tables = reference_tables(ref, rule)
+def assemble_global(mesh: Mesh, element_k: np.ndarray) -> SparseSymmetricMatrix:
+    """Sum the element matrices into the reduced matrix over the non-Dirichlet nodes."""
     n = mesh.n_free
-    upper: dict[tuple[int, int], float] = {}
-    for t in range(mesh.n_elements):
-        geom = geometries[t] if geometries is not None else element_geometry(
-            mesh, ref, rule, theta, t, tables=tables)
-        kt = element_stiffness(geom, ref, rule, tables=tables)
-        ids = mesh.elements[t]
-        for a in range(ref.l):
-            i = ids[a]
-            if i >= n:
-                continue
-            for b in range(a, ref.l):
-                j = ids[b]
-                if j >= n:
-                    continue
-                key = (i, j) if i <= j else (j, i)
-                upper[key] = upper.get(key, 0.0) + kt[a, b]
-    return SparseSymmetricMatrix(n, upper)
+    ids = mesh.elements
+    a, b = np.triu_indices(ids.shape[1])
+    rows, cols, vals = ids[:, a], ids[:, b], element_k[:, a, b]
+    keep = (rows < n) & (cols < n)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return SparseSymmetricMatrix.from_upper(
+        n, np.minimum(rows, cols), np.maximum(rows, cols), vals)
 
 
 def assemble_load(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
                   theta: ConductivityField, source,
                   dirichlet_values=None, neumann=0.0,
-                  geometries: list[ElementGeometry] | None = None) -> np.ndarray:
+                  geometries: ElementGeometry | None = None,
+                  element_k: np.ndarray | None = None) -> np.ndarray:
     """Load vector for the reduced system.
 
     ``source`` is a constant or a callable of the physical point.  Dirichlet
     data may be a constant, a callable, or an array over the constrained
-    nodes; its coupling through the stiffness entries is subtracted here.
-    Only the natural (zero flux) boundary condition is supported on the
-    remaining boundary.
+    nodes; its coupling through the element stiffness matrices (``element_k``,
+    built here when not given) is subtracted here.  Only the natural (zero
+    flux) boundary condition is supported on the remaining boundary.
     """
     if neumann != 0.0:
         raise UnsupportedConfigError("only zero Neumann data is supported")
-    vals, grads = reference_tables(ref, rule)
+    tables = reference_tables(ref, rule)
+    vals = tables[0]
     n = mesh.n_free
     n_con = mesh.n_nodes - n
 
@@ -268,25 +270,22 @@ def assemble_load(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
                 f"dirichlet values must have length {n_con}, got {constrained.shape}"
             )
 
-    src = source if callable(source) else (lambda _x, _v=float(source): _v)
-    load = np.zeros(n)
-    for t in range(mesh.n_elements):
-        geom = geometries[t] if geometries is not None else element_geometry(
-            mesh, ref, rule, theta, t, tables=(vals, grads))
-        coords = mesh.nodes[mesh.elements[t]]
-        ids = mesh.elements[t]
-        for k in range(rule.q):
-            point = coords.T @ vals[k]
-            w = rule.weights[k] * geom.dets[k] * src(point)
-            for a in range(ref.l):
-                if ids[a] < n:
-                    load[ids[a]] += w * vals[k][a]
-        if n_con and np.any(constrained):
-            kt = element_stiffness(geom, ref, rule, tables=(vals, grads))
-            for a in range(ref.l):
-                if ids[a] >= n:
-                    continue
-                for b in range(ref.l):
-                    if ids[b] >= n:
-                        load[ids[a]] -= kt[a, b] * constrained[ids[b] - n]
-    return load
+    if geometries is None:
+        geometries = element_geometry(mesh, ref, rule, theta, tables=tables)
+    ids = mesh.elements
+    if callable(source):
+        points = np.einsum("tla,kl->tka", mesh.nodes[ids], vals)
+        src = np.array([float(source(x)) for x in points.reshape(-1, mesh.d)])
+        src = src.reshape(points.shape[:2])
+    else:
+        src = float(source)
+    w = rule.weights * geometries.dets * src                 # (m, q)
+    local = w @ vals                                         # (m, l)
+
+    if n_con and np.any(constrained):
+        if element_k is None:
+            element_k = element_stiffness(geometries, ref, rule, tables=tables)
+        lifted = np.where(ids >= n, constrained[np.maximum(ids - n, 0)], 0.0)
+        local = local - (element_k @ lifted[:, :, None])[:, :, 0]
+    free = ids < n
+    return np.bincount(ids[free], weights=local[free], minlength=n)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -60,9 +61,12 @@ def _fmt17(v) -> str:
 
 
 def read_config_file(path: str) -> dict:
-    """Parse ``key = value`` lines; repeated ``quad_point`` keys accumulate."""
+    """Parse ``key = value`` lines.
+
+    Repeated ``quad_point`` keys accumulate as (line number, fields) records.
+    """
     values: dict = {}
-    quad_points: list[list[str]] = []
+    quad_points: list[tuple[int, list[str]]] = []
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -77,7 +81,7 @@ def read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         val = val.strip()
         if key == "quad_point":
-            quad_points.append(val.split())
+            quad_points.append((ln, val.split()))
         else:
             values[key] = val
     if quad_points:
@@ -174,9 +178,12 @@ def _floatval(cfg, key, default=None):
     if v is None:
         return None
     try:
-        return float(v)
+        value = float(v)
     except (TypeError, ValueError):
-        raise UnsupportedConfigError(f"{key} must be a number, got {v!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise UnsupportedConfigError(f"{key} must be a finite number, got {v!r}")
+    return value
 
 
 def _resolve_mesh(cfg):
@@ -208,20 +215,20 @@ def _resolve_theta(cfg, mesh):
 
 def _resolve_rule(cfg, mesh):
     quad = cfg.get("quad")
-    records = cfg.get("quad_point")
-    if records:
-        return parse_rule_records(records, mesh.d, name="config")
-    if quad in (None, "standard"):
-        return standard_rule(mesh.d, mesh.p)
-    records = []
-    try:
-        for raw in Path(quad).read_text(encoding="utf-8").splitlines():
-            stripped = raw.strip()
-            if stripped and not stripped.startswith("#"):
-                records.append(stripped.split())
-    except OSError as exc:
-        raise MeshFormatError(f"cannot read quadrature file: {exc}") from None
-    return parse_rule_records(records, mesh.d, name=Path(quad).name)
+    records = cfg.get("quad_point")   # (line number, fields) pairs
+    name = "config"
+    if not records:
+        if quad in (None, "standard"):
+            return standard_rule(mesh.d, mesh.p)
+        try:
+            text = Path(quad).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise MeshFormatError(f"cannot read quadrature file: {exc}") from None
+        records = [(ln, raw.split()) for ln, raw in enumerate(text.splitlines(), 1)
+                   if raw.strip() and not raw.strip().startswith("#")]
+        name = Path(quad).name
+    lines, fields = zip(*records) if records else ((), ())
+    return parse_rule_records(fields, mesh.d, name=name, lines=lines)
 
 
 def _resolve_source(cfg):
@@ -230,8 +237,8 @@ def _resolve_source(cfg):
         return 1.0
     if isinstance(raw, str) and raw.startswith("expr:"):
         field = ConductivityField.from_expression(raw.removeprefix("expr:"))
-        return lambda x: field.fn(x)
-    return float(raw)
+        return lambda x: float(field.fn(x))
+    return _floatval(cfg, "source")
 
 
 def _threads(cfg) -> int:
@@ -348,7 +355,8 @@ def _cmd_solve(cfg) -> int:
     system = pipeline.build_system(mesh, theta, rule)
     bundle = pipeline.approximate(system)
     rhs = assemble_load(mesh, system.ref, rule, theta, _resolve_source(cfg),
-                        geometries=system.geometries)
+                        geometries=system.geometries,
+                        element_k=system.element_stiffness)
     tol = _floatval(cfg, "tol", 1e-10)
     max_iter = _intval(cfg, "max_iter")
     handle = factor_kbar(bundle.dd.kbar)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import SparseSymmetricMatrix
-from .factorization import ElementFactors, IncidenceMatrix
+from .assembly import ElementGeometry, SparseSymmetricMatrix
+from .factorization import ElementFactors, IncidenceMatrix, relative_residuals
 from .quadrature import QuadratureRule
 from .quality import QualityReport
 
@@ -34,7 +34,7 @@ class DbarBlocks:
 class HBlocks:
     """Per-element normalized middle matrices and their spectral extremes."""
 
-    h: list                   # m dense (l-1) x (l-1) blocks
+    h: np.ndarray             # (m, l-1, l-1) dense blocks
     sigma_max: np.ndarray     # (m,) largest singular value of each scaled block
     sigma_min: np.ndarray     # (m,)
     kappa_per_element: np.ndarray  # (m,) condition number of each block
@@ -53,42 +53,34 @@ class DDApproximation:
     chi3_bound: float
 
 
-def build_dbar(factors: list[ElementFactors], geometries,
+def build_dbar(factors: ElementFactors, geometries: ElementGeometry,
                rule: QuadratureRule) -> DbarBlocks:
     """Scalar diagonal blocks: smallest weight times per-element minima."""
-    m = len(factors)
-    f = np.empty(m)
-    g = np.empty(m)
-    scalars = np.empty(m)
-    for t in range(m):
-        f[t] = float(geometries[t].theta_vals.min())
-        g[t] = float(geometries[t].dets.min())
-        scalars[t] = rule.m_q * f[t] * g[t] * factors[t].alpha ** 2
-    return DbarBlocks(scalars=scalars, f=f, g=g)
+    f = geometries.theta_vals.min(axis=1)
+    g = geometries.dets.min(axis=1)
+    return DbarBlocks(scalars=rule.m_q * f * g * factors.alpha ** 2, f=f, g=g)
 
 
 def build_kbar(incidence: IncidenceMatrix, dbar: DbarBlocks) -> SparseSymmetricMatrix:
     """Weighted graph Laplacian on the star arcs, Dirichlet rows deleted.
 
-    Scattered arc by arc with one stored value per unordered pair, so the
-    result is exactly symmetric with nonpositive off-diagonal entries.
+    Each arc adds its element's scalar to both endpoint diagonals and
+    subtracts it from their shared off-diagonal, summed in the upper triangle
+    and mirrored, so the result is exactly symmetric with nonpositive
+    off-diagonal entries.
     """
-    n = incidence.n
-    lm1 = incidence.l - 1
-    upper: dict[tuple[int, int], float] = {}
-    for r, (tail, head) in enumerate(incidence.arcs):
-        s = float(dbar.scalars[r // lm1])
-        if tail >= 0:
-            upper[(tail, tail)] = upper.get((tail, tail), 0.0) + s
-        if head >= 0:
-            upper[(head, head)] = upper.get((head, head), 0.0) + s
-        if tail >= 0 and head >= 0:
-            key = (tail, head) if tail <= head else (head, tail)
-            upper[key] = upper.get(key, 0.0) - s
-    return SparseSymmetricMatrix(n, upper)
+    tail, head = incidence.arcs[:, 0], incidence.arcs[:, 1]
+    s = np.repeat(dbar.scalars, incidence.l - 1)
+    both = (tail >= 0) & (head >= 0)
+    ends = np.concatenate([tail, head])
+    on_diag = ends >= 0
+    rows = np.concatenate([ends[on_diag], np.minimum(tail, head)[both]])
+    cols = np.concatenate([ends[on_diag], np.maximum(tail, head)[both]])
+    vals = np.concatenate([np.tile(s, 2)[on_diag], -s[both]])
+    return SparseSymmetricMatrix.from_upper(incidence.n, rows, cols, vals)
 
 
-def build_h_blocks(factors: list[ElementFactors], dbar: DbarBlocks) -> HBlocks:
+def build_h_blocks(factors: ElementFactors, dbar: DbarBlocks) -> HBlocks:
     """Normalized middle blocks: scaled j with the diagonal replacement pulled out.
 
     The scaled block for element t is diag(d)^(1/2) j / sqrt(scalar_t); its
@@ -96,16 +88,12 @@ def build_h_blocks(factors: list[ElementFactors], dbar: DbarBlocks) -> HBlocks:
     diagonal, the global condition number is the worst squared singular value
     over all blocks divided by the best.
     """
-    m = len(factors)
-    h = []
-    smax = np.empty(m)
-    smin = np.empty(m)
-    for t, fac in enumerate(factors):
-        scaled = (np.sqrt(fac.d_diag)[:, None] * fac.j) / np.sqrt(dbar.scalars[t])
-        h.append(scaled.T @ scaled)
-        s = np.linalg.svd(scaled, compute_uv=False)
-        smax[t] = s.max()
-        smin[t] = s.min()
+    scaled = (np.sqrt(factors.d_diag)[:, :, None] * factors.j
+              / np.sqrt(dbar.scalars)[:, None, None])
+    h = scaled.swapaxes(1, 2) @ scaled
+    s = np.linalg.svd(scaled, compute_uv=False)
+    smax = s.max(axis=1)
+    smin = s.min(axis=1)
     kappa_elem = (smax / smin) ** 2
     kappa_global = float((smax.max() / smin.min()) ** 2)
     return HBlocks(h=h, sigma_max=smax, sigma_min=smin,
@@ -126,17 +114,11 @@ def chi3_element_bounds(quality: QualityReport) -> np.ndarray:
             / (quality.m_q * quality.tau_qp ** 2))
 
 
-def refactorization_residuals(factors: list[ElementFactors],
+def refactorization_residuals(factors: ElementFactors,
                               dbar: DbarBlocks, h_blocks: HBlocks) -> np.ndarray:
     """Relative error of middle-product = scalar * H per element (identity check)."""
-    m = len(factors)
-    out = np.empty(m)
-    for t in range(m):
-        gram = factors[t].gram()
-        rebuilt = dbar.scalars[t] * h_blocks.h[t]
-        norm = np.linalg.norm(gram)
-        out[t] = np.linalg.norm(rebuilt - gram) / norm if norm > 0 else 0.0
-    return out
+    return relative_residuals(dbar.scalars[:, None, None] * h_blocks.h,
+                              factors.gram())
 
 
 def build_dd_approximation(incidence: IncidenceMatrix, factors, geometries,

@@ -23,17 +23,25 @@ class MethodAssumptionError(DDFemError):
 
 
 class ConductivityPositivityError(MethodAssumptionError):
-    """Conductivity evaluated to a nonpositive value."""
+    """Conductivity evaluated to a nonpositive or non-finite value."""
 
-    def __init__(self, value: float, where=None):
+    def __init__(self, value: float, where=None, element: int | None = None,
+                 gauss_point: int | None = None):
         self.value = value
         self.where = where
+        self.element = element
+        self.gauss_point = gauss_point
         loc = f" at {where}" if where is not None else ""
-        super().__init__(f"conductivity must be strictly positive, got {value:g}{loc}")
+        if element is not None:
+            loc += f" in element {element + 1}"
+            if gauss_point is not None:
+                loc += f", Gauss point {gauss_point + 1}"
+        super().__init__(
+            f"conductivity must be finite and strictly positive, got {value:g}{loc}")
 
 
 class ElementOrientationError(MethodAssumptionError):
-    """An element mapping has a nonpositive Jacobian determinant."""
+    """An element mapping has a nonpositive (or NaN) Jacobian determinant."""
 
     def __init__(self, element: int, gauss_point: int, det: float):
         self.element = element

@@ -11,7 +11,6 @@ extremes divided by the element's compression-stretch product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,17 +24,9 @@ from .quadrature import QuadratureRule
 from .reference_element import SqpMatrix
 
 
-def spectral_norm(mat: np.ndarray) -> float:
-    """Matrix 2-norm of a small d x d block.
-
-    Closed form for 2 x 2; symmetric eigen-solve of M^T M for 3 x 3.
-    """
-    if mat.shape == (2, 2):
-        t = float(np.sum(mat * mat))
-        det = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
-        disc = max(t * t - 4.0 * det * det, 0.0)
-        return math.sqrt(0.5 * (t + math.sqrt(disc)))
-    return math.sqrt(float(np.linalg.eigvalsh(mat.T @ mat)[-1]))
+def spectral_norm(mat: np.ndarray) -> np.ndarray:
+    """Matrix 2-norms of a stack of small blocks: (..., d, d) -> (...)."""
+    return np.linalg.norm(mat, 2, axis=(-2, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,25 +52,25 @@ class IncidenceMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ElementFactors:
-    """Per-element factors of the stiffness identity.
+    """Middle factors of the stiffness identity, element index leading.
 
-    ``j`` is the (d*q) x (l-1) product of the scaled inverse-transpose
-    Jacobian blocks with the shared gradient sample matrix; ``d_diag`` the
-    positive diagonal weights.  The alpha scaling cancels between the two, so
-    j^T diag(d_diag) j reproduces the element stiffness on arc differences.
+    ``j`` stacks each element's (d*q) x (l-1) product of the scaled
+    inverse-transpose Jacobian blocks with the shared gradient sample matrix;
+    ``d_diag`` the positive diagonal weights.  The alpha scaling cancels
+    between the two, so j^T diag(d_diag) j reproduces the element stiffness on
+    arc differences.  alpha is the worst inverse-Jacobian 2-norm over the
+    Gauss points (maximum compression), beta the worst Jacobian 2-norm
+    (maximum stretch).
     """
 
-    t: int
-    alpha: float
-    beta: float
-    r_blocks: np.ndarray    # (q, d, d), inverse transposes / alpha
-    d_diag: np.ndarray      # (q*d,)
-    j: np.ndarray           # (q*d, l-1)
-    sqp: SqpMatrix
+    alpha: np.ndarray       # (m,)
+    beta: np.ndarray        # (m,)
+    d_diag: np.ndarray      # (m, q*d)
+    j: np.ndarray           # (m, q*d, l-1)
 
     def gram(self) -> np.ndarray:
-        """j^T diag(d_diag) j, the (l-1) x (l-1) middle product."""
-        return self.j.T @ (self.d_diag[:, None] * self.j)
+        """j^T diag(d_diag) j per element, the (m, l-1, l-1) middle products."""
+        return self.j.swapaxes(1, 2) @ (self.d_diag[:, :, None] * self.j)
 
 
 def local_incidence(l: int) -> np.ndarray:
@@ -93,27 +84,18 @@ def local_incidence(l: int) -> np.ndarray:
 def build_incidence(mesh: Mesh) -> IncidenceMatrix:
     """Signed arc rows of every element star, Dirichlet columns omitted."""
     n = mesh.n_free
-    l = mesh.nodes_per_element
-    m = mesh.n_elements
-    arcs = np.empty(((l - 1) * m, 2), dtype=int)
-    rows, cols, vals = [], [], []
-    r = 0
-    for t in range(m):
-        ids = mesh.elements[t]
-        tail = ids[0] if ids[0] < n else -1
-        for mu in range(1, l):
-            head = ids[mu] if ids[mu] < n else -1
-            arcs[r] = (tail, head)
-            if head >= 0:
-                rows.append(r)
-                cols.append(head)
-                vals.append(1.0)
-            if tail >= 0:
-                rows.append(r)
-                cols.append(tail)
-                vals.append(-1.0)
-            r += 1
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=((l - 1) * m, n))
+    m, l = mesh.elements.shape
+    tail = np.repeat(mesh.elements[:, 0], l - 1)
+    head = mesh.elements[:, 1:].reshape(-1)
+    arcs = np.stack([np.where(tail < n, tail, -1), np.where(head < n, head, -1)],
+                    axis=1)
+    rows = np.arange(len(arcs))
+    has_head, has_tail = head < n, tail < n
+    matrix = sp.csr_matrix(
+        (np.concatenate([np.ones(has_head.sum()), -np.ones(has_tail.sum())]),
+         (np.concatenate([rows[has_head], rows[has_tail]]),
+          np.concatenate([head[has_head], tail[has_tail]]))),
+        shape=((l - 1) * m, n))
     return IncidenceMatrix(n=n, m=m, l=l, arcs=arcs, matrix=matrix)
 
 
@@ -133,33 +115,19 @@ def save_incidence(inc: IncidenceMatrix, target) -> None:
             fh.close()
 
 
-def build_element_factors(geom: ElementGeometry, sqp: SqpMatrix,
-                          rule: QuadratureRule) -> ElementFactors:
-    """Assemble the middle factors for one element.
-
-    alpha is the worst 2-norm of the inverse Jacobians over the Gauss points
-    (maximum compression), beta the worst 2-norm of the Jacobians themselves
-    (maximum stretch).
-    """
-    q = rule.q
-    d = geom.jacobians.shape[1]
-    alpha = max(spectral_norm(geom.inverse_transposes[k]) for k in range(q))
-    beta = max(spectral_norm(geom.jacobians[k]) for k in range(q))
-    r_blocks = geom.inverse_transposes / alpha
-    d_diag = np.empty(q * d)
-    for k in range(q):
-        w = alpha * alpha * geom.theta_vals[k] * geom.dets[k] * rule.weights[k]
-        d_diag[k * d:(k + 1) * d] = w
-    lm1 = sqp.entries.shape[1]
-    j = np.empty((q * d, lm1))
-    for k in range(q):
-        j[k * d:(k + 1) * d, :] = r_blocks[k] @ sqp.entries[k * d:(k + 1) * d, :]
-    return ElementFactors(t=geom.t, alpha=alpha, beta=beta, r_blocks=r_blocks,
-                          d_diag=d_diag, j=j, sqp=sqp)
-
-
-def build_all_factors(geometries, sqp: SqpMatrix, rule: QuadratureRule):
-    return [build_element_factors(g, sqp, rule) for g in geometries]
+def build_all_factors(geometries: ElementGeometry, sqp: SqpMatrix,
+                      rule: QuadratureRule) -> ElementFactors:
+    """Assemble the middle factors of every element."""
+    m, q, d, _ = geometries.jacobians.shape
+    alpha = spectral_norm(geometries.inverse_transposes).max(axis=1)
+    beta = spectral_norm(geometries.jacobians).max(axis=1)
+    a = alpha[:, None]
+    weights = a * a * geometries.theta_vals * geometries.dets * rule.weights
+    r_blocks = geometries.inverse_transposes / alpha[:, None, None, None]
+    samples = sqp.entries.reshape(q, d, -1)                  # (q, d, l-1)
+    j = (r_blocks @ samples).reshape(m, q * d, -1)
+    return ElementFactors(alpha=alpha, beta=beta,
+                          d_diag=np.repeat(weights, d, axis=1), j=j)
 
 
 @dataclass(frozen=True)
@@ -177,38 +145,37 @@ class FactorizationReport:
                 and self.global_residual <= self.tolerance)
 
 
-def global_j_matrix(factors) -> sp.csr_matrix:
-    """Block-diagonal middle factor over all elements (test/verify view only)."""
-    return sp.block_diag([sp.csr_matrix(f.j) for f in factors], format="csr")
+def relative_residuals(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """Frobenius ||approx - exact|| / ||exact|| per block (0 where exact is 0)."""
+    norm = np.linalg.norm(exact, axis=(1, 2))
+    diff = np.linalg.norm(approx - exact, axis=(1, 2))
+    return np.divide(diff, norm, out=np.zeros_like(norm), where=norm > 0)
 
 
-def global_d_diagonal(factors) -> np.ndarray:
-    return np.concatenate([f.d_diag for f in factors])
-
-
-def verify_first_factorization(mesh: Mesh, factors, incidence: IncidenceMatrix,
-                               element_stiffness_list, global_stiffness=None,
+def verify_first_factorization(mesh: Mesh, factors: ElementFactors,
+                               incidence: IncidenceMatrix,
+                               element_k: np.ndarray, global_stiffness=None,
                                tolerance: float = 1e-10) -> FactorizationReport:
     """Check element and assembled stiffness against the factored product.
 
     Element check: full local star incidence against the dense element matrix.
-    Global check: sparse product A^T J^T D J A against the assembled matrix.
+    Global check: sparse product A^T J^T D J A against the assembled matrix,
+    with J the block-diagonal matrix of the per-element ``j`` blocks.
     """
     m = mesh.n_elements
-    residuals = np.empty(m)
-    for t in range(m):
-        kt = element_stiffness_list[t]
-        local_a = local_incidence(incidence.l)
-        product = local_a.T @ factors[t].gram() @ local_a
-        norm = np.linalg.norm(kt)
-        residuals[t] = np.linalg.norm(product - kt) / norm if norm > 0 else 0.0
+    local_a = local_incidence(incidence.l)
+    residuals = relative_residuals(local_a.T @ factors.gram() @ local_a, element_k)
 
     global_residual = 0.0
     if global_stiffness is not None and incidence.n > 0:
-        jmat = global_j_matrix(factors)
-        dvec = global_d_diagonal(factors)
+        j = factors.j
+        _, qd, lm1 = j.shape
+        rows = np.broadcast_to(np.arange(m * qd).reshape(m, qd, 1), j.shape)
+        cols = np.broadcast_to(np.arange(m * lm1).reshape(m, 1, lm1), j.shape)
+        jmat = sp.csr_matrix((j.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(m * qd, m * lm1))
         ja = jmat @ incidence.matrix
-        product = (ja.T @ sp.diags(dvec) @ ja).tocsr()
+        product = (ja.T @ sp.diags(factors.d_diag.ravel()) @ ja).tocsr()
         diff = product - global_stiffness.csr
         denom = spla.norm(global_stiffness.csr)
         global_residual = float(spla.norm(diff) / denom) if denom > 0 else 0.0
@@ -221,10 +188,7 @@ def verify_first_factorization(mesh: Mesh, factors, incidence: IncidenceMatrix,
     )
 
 
-def element_j_singular_values(factors) -> np.ndarray:
+def element_j_singular_values(factors: ElementFactors) -> np.ndarray:
     """Extreme singular values of each element's middle factor, shape (m, 2)."""
-    out = np.empty((len(factors), 2))
-    for idx, f in enumerate(factors):
-        s = np.linalg.svd(f.j, compute_uv=False)
-        out[idx] = (s.max(), s.min())
-    return out
+    s = np.linalg.svd(factors.j, compute_uv=False)
+    return np.column_stack([s.max(axis=1), s.min(axis=1)])

@@ -9,6 +9,7 @@ permutation.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -87,10 +88,10 @@ def validate_mesh(mesh: Mesh) -> None:
         )
     if mesh.elements.size and (mesh.elements.min() < 0 or mesh.elements.max() >= n):
         raise MeshInvariantError("element references a node index out of range")
-    for t in range(mesh.n_elements):
-        row = mesh.elements[t]
-        if len(set(row.tolist())) != len(row):
-            raise MeshInvariantError(f"element {t + 1} repeats a node")
+    ordered = np.sort(mesh.elements, axis=1)
+    repeats = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if repeats.size:
+        raise MeshInvariantError(f"element {repeats[0] + 1} repeats a node")
     referenced = np.zeros(n, dtype=bool)
     referenced[mesh.elements.reshape(-1)] = True
     if not referenced.all():
@@ -200,6 +201,8 @@ def load_mesh(source) -> Mesh:
                     raise ValueError(f"node line needs {3 + d} fields, got {len(tok)}")
                 idx = int(tok[1])
                 coords = [float(v) for v in tok[2:2 + d]]
+                if not np.all(np.isfinite(coords)):
+                    raise ValueError(f"node {idx} has a non-finite coordinate")
                 flag = int(tok[2 + d])
                 if flag not in (0, 1):
                     raise ValueError(f"dirichlet flag must be 0 or 1, got {flag}")
@@ -216,7 +219,10 @@ def load_mesh(source) -> Mesh:
             elif kind == "theta":
                 if len(tok) != 4 or tok[1] != "elem":
                     raise ValueError("theta line must read 'theta elem <t> <value>'")
-                theta_rows[int(tok[2])] = float(tok[3])
+                value = float(tok[3])
+                if not np.isfinite(value):
+                    raise ValueError(f"theta value {tok[3]!r} is not finite")
+                theta_rows[int(tok[2])] = value
             else:
                 raise ValueError(f"unknown record {kind!r}")
         except ValueError as exc:
@@ -259,6 +265,37 @@ def mesh_to_text(mesh: Mesh) -> str:
 # Structured generators
 # ---------------------------------------------------------------------------
 
+def _grid_nodes(k: int, d: int):
+    """Nodes of the (k+1)^d unit grid, first axis fastest, and the boundary flags."""
+    side = k + 1
+    xs = np.linspace(0.0, 1.0, side)
+    # indexing="ij" over (last axis, ..., first axis) puts the first axis fastest.
+    idx = [g.ravel() for g in np.meshgrid(*([np.arange(side)] * d), indexing="ij")]
+    idx.reverse()
+    nodes = np.column_stack([xs[i] for i in idx])
+    on_boundary = np.any([(i == 0) | (i == k) for i in idx], axis=0)
+    return nodes, on_boundary
+
+
+def _structured_mesh(d: int, k: int, p: int, dirichlet: str,
+                     elements: np.ndarray) -> Mesh:
+    """The unit grid with the given order-1 elements, refined to order p."""
+    if k < 1:
+        raise UnsupportedConfigError("subdivision count k must be >= 1")
+    if dirichlet not in ("boundary", "none"):
+        raise UnsupportedConfigError(f"unknown dirichlet mode {dirichlet!r}")
+    nodes, on_boundary = _grid_nodes(k, d)
+    flags = on_boundary if dirichlet == "boundary" else np.zeros(len(nodes), dtype=bool)
+    mesh = normalize_numbering(
+        Mesh(d=d, p=1, nodes=nodes, elements=elements, dirichlet=flags))
+    if p == 2:
+        mesh = insert_midpoints(mesh)
+    elif p != 1:
+        raise UnsupportedConfigError(f"unsupported order p={p}")
+    validate_mesh(mesh)
+    return mesh
+
+
 def gen_structured_square(k: int, p: int = 1, dirichlet: str = "boundary") -> Mesh:
     """Unit square split into 2*k^2 right triangles.
 
@@ -266,42 +303,11 @@ def gen_structured_square(k: int, p: int = 1, dirichlet: str = "boundary") -> Me
     Dirichlet unless ``dirichlet="none"``.  For p=2 midpoint nodes are
     inserted on every edge.
     """
-    if k < 1:
-        raise UnsupportedConfigError("subdivision count k must be >= 1")
-    if dirichlet not in ("boundary", "none"):
-        raise UnsupportedConfigError(f"unknown dirichlet mode {dirichlet!r}")
     side = k + 1
-    xs = np.linspace(0.0, 1.0, side)
-    nodes = np.array([(xs[i], xs[j]) for j in range(side) for i in range(side)])
-
-    def gid(i, j):
-        return j * side + i
-
-    elements = []
-    for j in range(k):
-        for i in range(k):
-            a = gid(i, j)
-            b = gid(i + 1, j)
-            c = gid(i, j + 1)
-            dd = gid(i + 1, j + 1)
-            elements.append((a, b, dd))
-            elements.append((a, dd, c))
-    flags = np.zeros(len(nodes), dtype=bool)
-    if dirichlet == "boundary":
-        for j in range(side):
-            for i in range(side):
-                if i in (0, k) or j in (0, k):
-                    flags[gid(i, j)] = True
-    mesh = normalize_numbering(
-        Mesh(d=2, p=1, nodes=nodes, elements=np.array(elements, dtype=int),
-             dirichlet=flags)
-    )
-    if p == 2:
-        mesh = insert_midpoints(mesh)
-    elif p != 1:
-        raise UnsupportedConfigError(f"unsupported order p={p}")
-    validate_mesh(mesh)
-    return mesh
+    a = (np.arange(k)[:, None] * side + np.arange(k)[None, :]).ravel()
+    b, c, dd = a + 1, a + side, a + side + 1
+    elements = np.stack([a, b, dd, a, dd, c], axis=1).reshape(-1, 3)
+    return _structured_mesh(2, k, p, dirichlet, elements)
 
 
 _CUBE_PERMS = [
@@ -316,64 +322,63 @@ def gen_structured_cube(k: int, p: int = 1, dirichlet: str = "boundary") -> Mesh
     diagonal, so neighboring subcubes conform.  Vertex order is flipped where
     needed to keep every Jacobian determinant positive.
     """
-    if k < 1:
-        raise UnsupportedConfigError("subdivision count k must be >= 1")
-    if dirichlet not in ("boundary", "none"):
-        raise UnsupportedConfigError(f"unknown dirichlet mode {dirichlet!r}")
     side = k + 1
-    xs = np.linspace(0.0, 1.0, side)
-    nodes = np.array(
-        [(xs[i], xs[j], xs[kk])
-         for kk in range(side) for j in range(side) for i in range(side)]
-    )
-
-    def gid(i, j, kk):
-        return (kk * side + j) * side + i
-
-    elements = []
-    for kk in range(k):
-        for j in range(k):
-            for i in range(k):
-                base = np.array([i, j, kk])
-                for perm in _CUBE_PERMS:
-                    corners = [base.copy()]
-                    cur = base.copy()
-                    for axis in perm:
-                        cur = cur.copy()
-                        cur[axis] += 1
-                        corners.append(cur)
-                    ids = [gid(*c) for c in corners]
-                    vecs = nodes[ids[1:]] - nodes[ids[0]]
-                    if np.linalg.det(vecs) < 0:
-                        ids[2], ids[3] = ids[3], ids[2]
-                    elements.append(tuple(ids))
-    flags = np.zeros(len(nodes), dtype=bool)
-    if dirichlet == "boundary":
-        for kk in range(side):
-            for j in range(side):
-                for i in range(side):
-                    if i in (0, k) or j in (0, k) or kk in (0, k):
-                        flags[gid(i, j, kk)] = True
-    mesh = normalize_numbering(
-        Mesh(d=3, p=1, nodes=nodes, elements=np.array(elements, dtype=int),
-             dirichlet=flags)
-    )
-    if p == 2:
-        mesh = insert_midpoints(mesh)
-    elif p != 1:
-        raise UnsupportedConfigError(f"unsupported order p={p}")
-    validate_mesh(mesh)
-    return mesh
+    # Corner node offsets of each path tetrahedron within its subcube; the
+    # orientation depends only on the path, not on the subcube.
+    offsets = []
+    for perm in _CUBE_PERMS:
+        steps = [np.zeros(3, dtype=int)]
+        for axis in perm:
+            steps.append(steps[-1] + np.eye(3, dtype=int)[axis])
+        if np.linalg.det(np.array(steps[1:], dtype=float)) < 0:
+            steps[2], steps[3] = steps[3], steps[2]
+        offsets.append([(s[2] * side + s[1]) * side + s[0] for s in steps])
+    cells = np.arange(k)
+    base = ((cells[:, None, None] * side + cells[None, :, None]) * side
+            + cells[None, None, :]).ravel()
+    elements = (base[:, None, None] + np.array(offsets)[None]).reshape(-1, 4)
+    return _structured_mesh(3, k, p, dirichlet, elements)
 
 
 # ---------------------------------------------------------------------------
 # Midpoint refinement (order 1 -> order 2)
 # ---------------------------------------------------------------------------
 
-def _element_edges(row) -> list[tuple[int, int]]:
-    ids = row.tolist()
-    return [(min(a, b), max(a, b))
-            for idx, a in enumerate(ids) for b in ids[idx + 1:]]
+def _element_edges(elements: np.ndarray) -> np.ndarray:
+    """Every element's node pairs, each sorted, in local pair order: (m, l(l-1)/2, 2)."""
+    a, b = np.triu_indices(elements.shape[1], k=1)
+    return np.sort(np.stack([elements[:, a], elements[:, b]], axis=-1), axis=-1)
+
+
+def _edge_table(mesh: Mesh):
+    """Unique edges in first-seen order, each element's edge numbers, boundary mask.
+
+    Returns ``edges`` (E, 2), ``edge_of`` (m, l(l-1)/2) indexing into
+    ``edges`` per local node pair, and ``on_boundary`` (E,).  2D: boundary
+    edges belong to exactly one triangle.  3D: boundary edges lie on a face
+    belonging to exactly one tetrahedron.
+    """
+    pairs = _element_edges(mesh.elements)
+    keys = pairs[..., 0].astype(np.int64) * mesh.n_nodes + pairs[..., 1]
+    _, first, inverse, counts = np.unique(keys.ravel(), return_index=True,
+                                          return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    edges = pairs.reshape(-1, 2)[first[order]]
+    edge_of = rank[inverse].reshape(keys.shape)
+    if mesh.d == 2:
+        on_boundary = counts[order] == 1
+    else:
+        ordered = np.sort(mesh.elements, axis=1)
+        faces = ordered[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].reshape(-1, 3)
+        uniq_faces, face_counts = np.unique(faces, axis=0, return_counts=True)
+        outer = uniq_faces[face_counts == 1]
+        face_edges = outer[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
+        edge_keys = edges[:, 0].astype(np.int64) * mesh.n_nodes + edges[:, 1]
+        on_boundary = np.isin(edge_keys, face_edges[:, 0].astype(np.int64)
+                              * mesh.n_nodes + face_edges[:, 1])
+    return edges, edge_of, on_boundary
 
 
 def boundary_edges(mesh: Mesh) -> set[tuple[int, int]]:
@@ -384,83 +389,48 @@ def boundary_edges(mesh: Mesh) -> set[tuple[int, int]]:
     """
     if mesh.p != 1:
         raise UnsupportedConfigError("boundary detection expects an order-1 mesh")
-    if mesh.d == 2:
-        counts: dict[tuple[int, int], int] = {}
-        for t in range(mesh.n_elements):
-            for e in _element_edges(mesh.elements[t]):
-                counts[e] = counts.get(e, 0) + 1
-        return {e for e, c in counts.items() if c == 1}
-    face_counts: dict[tuple[int, int, int], int] = {}
-    for t in range(mesh.n_elements):
-        ids = sorted(mesh.elements[t].tolist())
-        for skip in range(4):
-            face = tuple(v for idx, v in enumerate(ids) if idx != skip)
-            face_counts[face] = face_counts.get(face, 0) + 1
-    edges: set[tuple[int, int]] = set()
-    for face, c in face_counts.items():
-        if c == 1:
-            a, b, cc = face
-            edges.update([(a, b), (a, cc), (b, cc)])
-    return edges
+    edges, _, on_boundary = _edge_table(mesh)
+    return set(map(tuple, edges[on_boundary].tolist()))
 
 
 def insert_midpoints(mesh: Mesh, snap=None) -> Mesh:
     """Insert one node per unique edge, turning an order-1 mesh into order-2.
 
-    Midpoints start as arithmetic means of the edge endpoints.  If ``snap`` is
-    given, midpoints of boundary edges are replaced by ``snap(midpoint)``,
-    which lets curved domains pull the new nodes onto the true boundary.  A
-    midpoint is Dirichlet exactly when its edge is a boundary edge with both
-    endpoints Dirichlet.
+    Midpoints start as arithmetic means of the edge endpoints and are
+    numbered in the order their edges are first met, element by element.  If
+    ``snap`` is given, midpoints of boundary edges are replaced by
+    ``snap(midpoint)``, which lets curved domains pull the new nodes onto the
+    true boundary.  A midpoint is Dirichlet exactly when its edge is a
+    boundary edge with both endpoints Dirichlet.
     """
     if mesh.p != 1:
         raise UnsupportedConfigError("midpoint insertion expects an order-1 mesh")
-    on_boundary = boundary_edges(mesh)
-
-    edge_ids: dict[tuple[int, int], int] = {}
-    new_coords: list[np.ndarray] = []
-    new_flags: list[bool] = []
-    for t in range(mesh.n_elements):
-        for e in _element_edges(mesh.elements[t]):
-            if e in edge_ids:
-                continue
-            a, b = e
-            mid = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
-            if snap is not None and e in on_boundary:
-                mid = np.asarray(snap(mid), dtype=float)
-            edge_ids[e] = mesh.n_nodes + len(new_coords)
-            new_coords.append(mid)
-            new_flags.append(
-                e in on_boundary and bool(mesh.dirichlet[a] and mesh.dirichlet[b])
-            )
-
-    nodes = np.vstack([mesh.nodes, np.array(new_coords)])
-    dirichlet = np.concatenate([mesh.dirichlet, np.array(new_flags, dtype=bool)])
+    edges, edge_of, on_boundary = _edge_table(mesh)
+    mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
+    if snap is not None:
+        for e in np.flatnonzero(on_boundary):
+            mids[e] = np.asarray(snap(mids[e]), dtype=float)
+    flags = on_boundary & mesh.dirichlet[edges[:, 0]] & mesh.dirichlet[edges[:, 1]]
+    nodes = np.vstack([mesh.nodes, mids])
+    dirichlet = np.concatenate([mesh.dirichlet, flags])
 
     # Reference nodes of the order-2 element, by barycentric signature:
     # a corner maps to the matching order-1 corner, an edge node to the
     # midpoint of the two corners it straddles.
     ref2 = make_reference(mesh.d, 2)
-    slots = []
-    for z in ref2.ref_nodes:
+    pair_index = {pair: i for i, pair in
+                  enumerate(zip(*np.triu_indices(mesh.d + 1, k=1)))}
+    elements = np.zeros((mesh.n_elements, ref2.l), dtype=int)
+    for s, z in enumerate(ref2.ref_nodes):
         bary = np.concatenate([[1.0 - z.sum()], z])
         ones = np.flatnonzero(np.isclose(bary, 1.0))
         halves = np.flatnonzero(np.isclose(bary, 0.5))
         if len(ones) == 1:
-            slots.append(("corner", int(ones[0])))
+            elements[:, s] = mesh.elements[:, ones[0]]
         else:
             assert len(halves) == 2
-            slots.append(("edge", int(halves[0]), int(halves[1])))
-
-    elements = np.zeros((mesh.n_elements, ref2.l), dtype=int)
-    for t in range(mesh.n_elements):
-        corners = mesh.elements[t]
-        for s, slot in enumerate(slots):
-            if slot[0] == "corner":
-                elements[t, s] = corners[slot[1]]
-            else:
-                a, b = corners[slot[1]], corners[slot[2]]
-                elements[t, s] = edge_ids[(min(a, b), max(a, b))]
+            pair = pair_index[(halves[0], halves[1])]
+            elements[:, s] = mesh.n_nodes + edge_of[:, pair]
 
     out = normalize_numbering(
         Mesh(d=mesh.d, p=2, nodes=nodes, elements=elements, dirichlet=dirichlet,
@@ -480,9 +450,15 @@ def transform_mesh(mesh: Mesh, fn) -> Mesh:
 # Conductivity
 # ---------------------------------------------------------------------------
 
+def _reduce(op):
+    return lambda first, *rest: functools.reduce(op, rest, first)
+
+
+# Names an expression may use; each works elementwise on arrays of points.
 _EXPR_NAMES = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
-    "sqrt": np.sqrt, "abs": abs, "pi": np.pi, "e": np.e, "min": min, "max": max,
+    "sqrt": np.sqrt, "abs": np.abs, "pi": np.pi, "e": np.e,
+    "min": _reduce(np.minimum), "max": _reduce(np.maximum),
 }
 
 
@@ -491,7 +467,9 @@ class ConductivityField:
     """Scalar conductivity, evaluated at mapped Gauss points.
 
     One of three modes: a single constant, one constant per element, or a
-    closed-form expression in the coordinates (variables x, y, z).
+    function of the coordinates.  A closed-form expression (variables x, y,
+    z) is evaluated on whole arrays of points at once; a Python callable
+    (``from_callable``) is called once per point.
     """
 
     kind: str
@@ -518,12 +496,15 @@ class ConductivityField:
                     f"conductivity expression uses unknown name {name!r}"
                 )
 
-        def fn(point):
+        def fn(points):
+            # points: (..., d) -> values of shape (...)
+            points = np.asarray(points, dtype=float)
             env = dict(_EXPR_NAMES)
-            env["x"] = point[0]
-            env["y"] = point[1]
-            env["z"] = point[2] if len(point) > 2 else 0.0
-            return float(eval(code, {"__builtins__": {}}, env))
+            env["x"] = points[..., 0]
+            env["y"] = points[..., 1]
+            env["z"] = points[..., 2] if points.shape[-1] > 2 else 0.0
+            value = eval(code, {"__builtins__": {}}, env)
+            return np.broadcast_to(np.asarray(value, dtype=float), points.shape[:-1])
 
         return ConductivityField(kind="expression", expression=text, fn=fn)
 
@@ -532,24 +513,41 @@ class ConductivityField:
         return ConductivityField(kind="expression", expression=None, fn=fn)
 
 
-def eval_conductivity(field: ConductivityField, x, element: int | None = None) -> float:
-    """Evaluate the conductivity at a point (``element`` selects per-element mode).
+def eval_conductivity(field: ConductivityField, x, element=None) -> np.ndarray:
+    """Evaluate the conductivity at the points ``x`` of shape (..., d).
 
-    Raises ConductivityPositivityError if the value is not strictly positive.
+    Returns an array of shape x.shape[:-1].  ``element`` gives each point's
+    element index (an int, or an integer array broadcasting against the
+    leading axes of x) and is required by per-element fields.  For an
+    (m, q, d) stack of Gauss points, pass ``element=np.arange(m)[:, None]``.
+
+    Raises ConductivityPositivityError at the first point (in C order) whose
+    value is not finite and strictly positive, naming its element when known
+    and, for an (m, q) stack, its Gauss point.
     """
+    x = np.asarray(x, dtype=float)
+    shape = x.shape[:-1]
     if field.kind == "constant":
-        value = field.constant
+        values = np.full(shape, field.constant)
     elif field.kind == "per_element":
         if element is None:
             raise UnsupportedConfigError(
                 "per-element conductivity needs the element index"
             )
-        value = float(field.per_element[element])
+        values = np.broadcast_to(field.per_element[element], shape)
+    elif field.expression is not None:
+        values = field.fn(x)
     else:
-        value = float(field.fn(np.asarray(x, dtype=float)))
-    if not value > 0.0:
-        raise ConductivityPositivityError(value, where=tuple(np.asarray(x).tolist()))
-    return value
+        flat = x.reshape(-1, x.shape[-1])
+        values = np.array([float(field.fn(point)) for point in flat]).reshape(shape)
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if bad.any():
+        idx = np.unravel_index(int(np.argmax(bad)), shape)
+        elem = None if element is None else int(np.broadcast_to(element, shape)[idx])
+        raise ConductivityPositivityError(
+            float(values[idx]), where=tuple(x[idx].tolist()), element=elem,
+            gauss_point=int(idx[1]) if len(shape) == 2 else None)
+    return values
 
 
 def conductivity_from_mesh(mesh: Mesh, default: float = 1.0) -> ConductivityField:

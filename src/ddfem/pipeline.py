@@ -28,11 +28,11 @@ class AssembledSystem:
     rule: QuadratureRule
     theta: ConductivityField
     sqp: SqpMatrix
-    geometries: list
-    element_stiffness: list          # m dense l x l blocks
+    geometries: assembly.ElementGeometry
+    element_stiffness: np.ndarray    # (m, l, l) dense element matrices
     stiffness: SparseSymmetricMatrix  # reduced, n x n
     incidence: factorization.IncidenceMatrix
-    factors: list                    # m ElementFactors
+    factors: factorization.ElementFactors
 
 
 def build_system(mesh: Mesh, theta: ConductivityField | None = None,
@@ -45,20 +45,14 @@ def build_system(mesh: Mesh, theta: ConductivityField | None = None,
     ref = make_reference(mesh.d, mesh.p)
     sqp = build_sqp(ref, rule)
     tables = assembly.reference_tables(ref, rule)
-    geometries = [
-        assembly.element_geometry(mesh, ref, rule, theta, t, tables=tables)
-        for t in range(mesh.n_elements)
-    ]
-    element_k = [assembly.element_stiffness(g, ref, rule, tables=tables)
-                 for g in geometries]
-    stiffness = assembly.assemble_global(mesh, ref, rule, theta,
-                                         geometries=geometries)
-    incidence = factorization.build_incidence(mesh)
-    factors = factorization.build_all_factors(geometries, sqp, rule)
+    geometries = assembly.element_geometry(mesh, ref, rule, theta, tables=tables)
+    element_k = assembly.element_stiffness(geometries, ref, rule, tables=tables)
     return AssembledSystem(
         mesh=mesh, ref=ref, rule=rule, theta=theta, sqp=sqp,
         geometries=geometries, element_stiffness=element_k,
-        stiffness=stiffness, incidence=incidence, factors=factors,
+        stiffness=assembly.assemble_global(mesh, element_k),
+        incidence=factorization.build_incidence(mesh),
+        factors=factorization.build_all_factors(geometries, sqp, rule),
     )
 
 
@@ -68,28 +62,21 @@ class ApproximationBundle:
 
     quality: quality.QualityReport
     dd: dd_approx.DDApproximation
-    element_kbar: list               # m dense l x l star Laplacian blocks
     chi: spectral.ChiReport
 
 
-def element_kbar_blocks(system: AssembledSystem,
-                        dbar: dd_approx.DbarBlocks) -> list:
-    """Full local approximation blocks: scalar times the star Laplacian."""
-    local = factorization.local_incidence(system.ref.l)
-    gram = local.T @ local
-    return [float(s) * gram for s in dbar.scalars]
+def _quality(system: AssembledSystem) -> quality.QualityReport:
+    return quality.compute_quality(system.geometries, system.factors,
+                                   system.rule, system.sqp)
 
 
 def approximate(system: AssembledSystem) -> ApproximationBundle:
-    qual = quality.compute_quality(system.mesh, system.geometries, system.rule,
-                                   system.sqp)
+    qual = _quality(system)
     dd = dd_approx.build_dd_approximation(system.incidence, system.factors,
                                           system.geometries, system.rule, qual)
-    kbar_blocks = element_kbar_blocks(system, dd.dbar)
-    chi = spectral.chi_report(system.element_stiffness, kbar_blocks,
+    chi = spectral.chi_report(system.element_stiffness, dd.dbar.scalars,
                               dd.h_blocks.h, qual, dd.chi3_bound)
-    return ApproximationBundle(quality=qual, dd=dd, element_kbar=kbar_blocks,
-                               chi=chi)
+    return ApproximationBundle(quality=qual, dd=dd, chi=chi)
 
 
 @dataclass(frozen=True)
@@ -140,8 +127,7 @@ def verify_system(system: AssembledSystem, *, dense_limit: int = 600,
     add("quadrature-exactness", exact.passed,
         f"degree {exact.degree}, max error {exact.max_error:.3e}")
 
-    qual = quality.compute_quality(system.mesh, system.geometries, system.rule,
-                                   system.sqp)
+    qual = _quality(system)
     sv = factorization.element_j_singular_values(system.factors)
     ab = qual.alpha * qual.beta
     upper_ok = bool(np.all(sv[:, 0] <= system.sqp.sigma_qp + 1e-10))
@@ -182,8 +168,7 @@ def verify_system(system: AssembledSystem, *, dense_limit: int = 600,
     add("approximation-diagonal-dominance", dd_ok, dd_detail)
 
     try:
-        kbar_blocks = element_kbar_blocks(system, dd.dbar)
-        chi = spectral.chi_report(system.element_stiffness, kbar_blocks,
+        chi = spectral.chi_report(system.element_stiffness, dd.dbar.scalars,
                                   dd.h_blocks.h, qual, dd.chi3_bound,
                                   order_rtol=order_rtol)
         add("chi-chain", True,
@@ -216,16 +201,12 @@ def check_diagonal_dominance(kbar: SparseSymmetricMatrix,
     """Off-diagonals nonpositive and every row diagonally dominant."""
     if kbar.n == 0:
         return True, "empty system"
-    worst_off = 0.0
-    row_off = np.zeros(kbar.n)
-    diag = np.zeros(kbar.n)
-    for i, j, v in kbar.upper_entries():
-        if i == j:
-            diag[i] = v
-        else:
-            worst_off = max(worst_off, v)
-            row_off[i] += abs(v)
-            row_off[j] += abs(v)
+    entries = kbar.csr.tocoo()
+    off = entries.row != entries.col
+    worst_off = float(entries.data[off].max(initial=0.0))
+    row_off = np.bincount(entries.row[off], weights=np.abs(entries.data[off]),
+                          minlength=kbar.n)
+    diag = kbar.csr.diagonal()
     slack = diag - row_off + row_rtol * np.abs(diag)
     ok = worst_off <= off_tol and bool(np.all(slack >= 0.0))
     return ok, (f"worst off-diagonal {worst_off:.3e}, "

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureWeightError, UnsupportedConfigError
+from .errors import MeshFormatError, QuadratureWeightError, UnsupportedConfigError
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +75,8 @@ def make_rule(d: int, points, weights, name: str = "custom") -> QuadratureRule:
         raise UnsupportedConfigError(
             f"rule points have {pts.shape[1]} coordinates, expected {d}"
         )
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
+        raise UnsupportedConfigError("rule points and weights must be finite")
     for k, w in enumerate(wts):
         if not w > 0.0:
             raise QuadratureWeightError(k, float(w))
@@ -171,12 +173,25 @@ def verify_exactness(rule: QuadratureRule, degree: int,
                            failures=tuple(failures), entries=tuple(entries))
 
 
-def parse_rule_records(records, d: int, name: str = "custom") -> QuadratureRule:
-    """Build a rule from (x, y, [z,] weight) records, e.g. config-file lines."""
+def parse_rule_records(records, d: int, name: str = "custom",
+                       lines=None) -> QuadratureRule:
+    """Build a rule from (x, y, [z,] weight) records, e.g. config-file lines.
+
+    ``lines`` gives each record's source line number for error messages.  A
+    field that is not a finite number raises MeshFormatError.
+    """
     pts = []
     wts = []
-    for rec in records:
-        rec = [float(v) for v in rec]
+    for idx, fields in enumerate(records):
+        line = lines[idx] if lines is not None else None
+        try:
+            rec = [float(v) for v in fields]
+        except ValueError:
+            rec = [math.nan]
+        if not np.all(np.isfinite(rec)):
+            raise MeshFormatError(
+                f"rule record {' '.join(map(str, fields))!r} needs finite numbers",
+                line=line)
         if len(rec) != d + 1:
             raise UnsupportedConfigError(
                 f"custom rule record {rec} has {len(rec)} fields, expected {d + 1} "

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factorization import spectral_norm
-from .mesh import Mesh
+from .assembly import ElementGeometry
+from .factorization import ElementFactors
 from .quadrature import QuadratureRule
 from .reference_element import SqpMatrix
 
@@ -44,19 +44,12 @@ class QualityReport:
         }
 
 
-def compute_quality(mesh: Mesh, geometries, rule: QuadratureRule,
-                    sqp: SqpMatrix) -> QualityReport:
-    """Reduce per-element geometry into the mesh quality report."""
-    m = mesh.n_elements
-    alpha = np.empty(m)
-    beta = np.empty(m)
-    det_ratio = np.empty(m)
-    theta_ratio = np.empty(m)
-    for t, geom in enumerate(geometries):
-        alpha[t] = max(spectral_norm(g) for g in geom.inverse_transposes)
-        beta[t] = max(spectral_norm(g) for g in geom.jacobians)
-        det_ratio[t] = float(geom.dets.max() / geom.dets.min())
-        theta_ratio[t] = float(geom.theta_vals.max() / geom.theta_vals.min())
+def compute_quality(geometries: ElementGeometry, factors: ElementFactors,
+                    rule: QuadratureRule, sqp: SqpMatrix) -> QualityReport:
+    """Reduce the stacked element geometry and factors into the quality report."""
+    alpha, beta = factors.alpha, factors.beta
+    det_ratio = geometries.dets.max(axis=1) / geometries.dets.min(axis=1)
+    theta_ratio = geometries.theta_vals.max(axis=1) / geometries.theta_vals.min(axis=1)
     return QualityReport(
         alpha=alpha,
         beta=beta,

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dd_approx import chi3_element_bounds
 from .errors import ConsistencyError, InfiniteSupportError, SizeLimitError
+from .factorization import local_incidence
 
 # Eigenvalues below this multiple of the largest count as nullspace; both the
 # element matrices and their approximations carry exact constant nullspaces
@@ -29,80 +29,92 @@ DEFAULT_DENSE_LIMIT = 2000
 
 @dataclass(frozen=True)
 class PencilSpectrum:
-    """Eigenvalues of an SPSD pair restricted off the shared nullspace."""
+    """Eigenvalues of SPSD pairs restricted off the shared nullspace.
+
+    For a stack of pairs every field carries the stack's leading axes.
+    """
 
     eigenvalues: np.ndarray
-    support_ab: float
-    support_ba: float
-    kappa: float
+    support_ab: np.ndarray
+    support_ba: np.ndarray
+    kappa: np.ndarray
 
 
-def _range_split(mat: np.ndarray, rtol: float):
-    """Orthonormal range and nullspace bases of a symmetric PSD matrix."""
-    w, v = np.linalg.eigh(mat)
-    top = float(w[-1]) if w.size else 0.0
-    if top <= 0.0:
-        return np.zeros((mat.shape[0], 0)), v
-    keep = w > rtol * top
-    return v[:, keep], v[:, ~keep]
+def _null_mask(w: np.ndarray, rtol: float) -> np.ndarray:
+    """Which of the ascending eigenvalues w (..., n) count as nullspace."""
+    top = w[..., -1:]
+    return ~((w > rtol * top) & (top > 0.0))
 
 
-def _check_containment(a: np.ndarray, null_b: np.ndarray, rtol: float) -> None:
-    # Every nullspace direction of B must be annihilated by A.
-    if null_b.shape[1] == 0:
+def _check_annihilated(mat: np.ndarray, vecs: np.ndarray, null: np.ndarray,
+                       rtol: float) -> None:
+    # Every column of vecs flagged in null must be annihilated by mat.
+    if not null.any():
         return
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        return
-    for idx in range(null_b.shape[1]):
-        v = null_b[:, idx]
-        if np.linalg.norm(a @ v) > rtol * scale * max(np.linalg.norm(v), 1.0):
-            raise InfiniteSupportError(v.copy())
+    scale = np.abs(mat).max(axis=(-2, -1))[..., None]
+    size = np.maximum(np.linalg.norm(vecs, axis=-2), 1.0)
+    bad = null & (np.linalg.norm(mat @ vecs, axis=-2) > rtol * scale * size)
+    if bad.any():
+        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        stacked = np.broadcast_to(vecs, bad.shape[:-1] + vecs.shape[-2:])
+        raise InfiniteSupportError(stacked[idx[:-1]][:, idx[-1]].copy())
+
+
+def _restricted_eigenvalues(a: np.ndarray, b: np.ndarray, null_rtol: float):
+    """Ascending eigenvalues of (a, b) restricted to the range of b, over stacks.
+
+    Every b block must have the same range rank, and a must annihilate the
+    nullspace of b; otherwise InfiniteSupportError.  The restricted pencil is
+    reduced by the Cholesky factor of its b part to a symmetric eigenproblem.
+    """
+    wb, vb = np.linalg.eigh(b)
+    null_b = _null_mask(wb, null_rtol)
+    rank = null_b.shape[-1] - null_b.sum(axis=-1)
+    r = int(rank.max())
+    if r == 0:
+        raise InfiniteSupportError(vb.reshape(-1, *vb.shape[-2:])[0, :, 0].copy())
+    if np.any(rank != r):
+        raise InfiniteSupportError(None)
+    _check_annihilated(a, vb, null_b, null_rtol)
+    q = vb[..., -r:]                       # range basis: the top r eigenvectors
+    qt = q.swapaxes(-1, -2)
+    inv_chol = np.linalg.inv(np.linalg.cholesky(qt @ b @ q))
+    reduced = inv_chol @ (qt @ a @ q) @ inv_chol.swapaxes(-1, -2)
+    return np.linalg.eigvalsh(0.5 * (reduced + reduced.swapaxes(-1, -2)))
 
 
 def support_number(a: np.ndarray, b: np.ndarray, *,
-                   null_rtol: float = NULLSPACE_RTOL) -> float:
+                   null_rtol: float = NULLSPACE_RTOL):
     """Largest generalized Rayleigh quotient of a over b outside b's nullspace.
 
-    Raises InfiniteSupportError (carrying the offending direction) when the
-    quotient is unbounded.
+    Takes single matrices or stacks (..., n, n).  Raises InfiniteSupportError
+    (carrying the offending direction) when the quotient is unbounded.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    q, null_b = _range_split(b, null_rtol)
-    if q.shape[1] == 0:
-        raise InfiniteSupportError(null_b[:, 0] if null_b.size else None)
-    _check_containment(a, null_b, null_rtol)
-    a_r = q.T @ a @ q
-    b_r = q.T @ b @ q
-    eig = scipy.linalg.eigh(a_r, b_r, eigvals_only=True)
-    return float(eig[-1])
+    return _restricted_eigenvalues(a, b, null_rtol)[..., -1]
 
 
 def condition_pair(a: np.ndarray, b: np.ndarray, *,
                    null_rtol: float = NULLSPACE_RTOL) -> PencilSpectrum:
     """Restricted pencil eigenvalues plus both directed support numbers.
 
-    Requires the two nullspaces to agree (checked in both directions); the
-    condition number is then the spread of the restricted eigenvalues.
+    ``a`` and ``b`` are single matrices or stacks (..., n, n) that broadcast
+    against each other, so one shared b serves a whole stack of a.  Requires
+    the two nullspaces to agree in every pair (checked in both directions);
+    the condition number is then the spread of the restricted eigenvalues.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    q, null_b = _range_split(b, null_rtol)
-    if q.shape[1] == 0:
-        raise InfiniteSupportError(null_b[:, 0] if null_b.size else None)
-    _check_containment(a, null_b, null_rtol)
-    _, null_a = _range_split(a, null_rtol)
-    _check_containment(b, null_a, null_rtol)
-    a_r = q.T @ a @ q
-    b_r = q.T @ b @ q
-    eig = scipy.linalg.eigh(a_r, b_r, eigvals_only=True)
-    lam_max = float(eig[-1])
-    lam_min = float(eig[0])
-    if lam_min <= 0.0:
+    eig = _restricted_eigenvalues(a, b, null_rtol)
+    wa, va = np.linalg.eigh(a)
+    _check_annihilated(b, va, _null_mask(wa, null_rtol), null_rtol)
+    lam_max = eig[..., -1]
+    lam_min = eig[..., 0]
+    if np.any(lam_min <= 0.0):
         raise InfiniteSupportError(None)
     return PencilSpectrum(
-        eigenvalues=np.asarray(eig, dtype=float),
+        eigenvalues=eig,
         support_ab=lam_max,
         support_ba=1.0 / lam_min,
         kappa=lam_max / lam_min,
@@ -122,54 +134,50 @@ class ChiReport:
     max_chi1: float
     max_chi2: float
 
-    def rows(self):
-        for t in range(len(self.chi1)):
-            yield t, self.chi1[t], self.chi2[t], self.chi3_element[t]
 
-
-def chi_report(element_stiffness_list, element_kbar_list, h_blocks_list,
+def chi_report(element_k: np.ndarray, kbar_scalars: np.ndarray, h: np.ndarray,
                quality, chi3_value: float, *, order_rtol: float = 1e-8,
                null_rtol: float = NULLSPACE_RTOL) -> ChiReport:
     """Per-element chain: measured pair condition, middle condition, bound.
 
+    Element t's approximation block is kbar_scalars[t] times the local star
+    Laplacian, so the pencil of every element stiffness matrix (m, l, l) is
+    taken against that one shared Laplacian and rescaled.  A scalar that is
+    not finite and positive leaves its block without the Laplacian's range
+    rank l-1 and raises InfiniteSupportError.  chi2 comes from the middle
+    blocks h (m, l-1, l-1).
+
     The chain chi1 <= chi2 <= chi3 holds in exact arithmetic; a violation
-    beyond ``order_rtol`` relative slack raises ConsistencyError since it
-    can only come from a broken construction.
+    beyond ``order_rtol`` relative slack raises ConsistencyError naming the
+    first offending element, since it can only come from a broken
+    construction.
     """
-    m = len(element_stiffness_list)
-    chi1 = np.empty(m)
-    chi2 = np.empty(m)
-    sup_ab = np.empty(m)
-    sup_ba = np.empty(m)
-    for t in range(m):
-        pencil = condition_pair(element_stiffness_list[t], element_kbar_list[t],
-                                null_rtol=null_rtol)
-        chi1[t] = pencil.kappa
-        sup_ab[t] = pencil.support_ab
-        sup_ba[t] = pencil.support_ba
-        hw = np.linalg.eigvalsh(h_blocks_list[t])
-        chi2[t] = float(hw[-1] / hw[0])
+    if not np.all(np.isfinite(kbar_scalars) & (kbar_scalars > 0.0)):
+        raise InfiniteSupportError(None)
+    star = local_incidence(element_k.shape[-1])
+    pencil = condition_pair(element_k, star.T @ star, null_rtol=null_rtol)
+    chi1 = pencil.kappa
+    hw = np.linalg.eigvalsh(h)
+    chi2 = hw[:, -1] / hw[:, 0]
     chi3_elem = chi3_element_bounds(quality)
 
-    for t in range(m):
-        if chi1[t] > chi2[t] * (1.0 + order_rtol):
-            raise ConsistencyError(
-                f"element {t + 1}: measured pair condition {chi1[t]:.6g} exceeds "
-                f"middle-block condition {chi2[t]:.6g}"
-            )
-        if chi2[t] > chi3_elem[t] * (1.0 + order_rtol):
-            raise ConsistencyError(
-                f"element {t + 1}: middle-block condition {chi2[t]:.6g} exceeds "
-                f"its analytic bound {chi3_elem[t]:.6g}"
-            )
-        if chi3_elem[t] > chi3_value * (1.0 + order_rtol):
-            raise ConsistencyError(
-                f"element {t + 1}: local analytic bound {chi3_elem[t]:.6g} exceeds "
-                f"the mesh-level bound {chi3_value:.6g}"
-            )
+    slack = 1.0 + order_rtol
+    links = [
+        ("measured pair condition", chi1, "middle-block condition", chi2),
+        ("middle-block condition", chi2, "its analytic bound", chi3_elem),
+        ("local analytic bound", chi3_elem, "the mesh-level bound",
+         np.full_like(chi3_elem, chi3_value)),
+    ]
+    broken = np.array([lower > upper * slack for _, lower, _, upper in links])
+    if broken.any():
+        t = int(np.flatnonzero(broken.any(axis=0))[0])
+        name, lower, bound, upper = links[int(np.argmax(broken[:, t]))]
+        raise ConsistencyError(f"element {t + 1}: {name} {lower[t]:.6g} exceeds "
+                               f"{bound} {upper[t]:.6g}")
     return ChiReport(
         chi1=chi1, chi2=chi2, chi3_element=chi3_elem, chi3=chi3_value,
-        support_k_kbar=sup_ab, support_kbar_k=sup_ba,
+        support_k_kbar=pencil.support_ab / kbar_scalars,
+        support_kbar_k=pencil.support_ba * kbar_scalars,
         max_chi1=float(chi1.max()), max_chi2=float(chi2.max()),
     )
 
@@ -208,19 +216,21 @@ def global_support_check(stiffness, kbar, chi: ChiReport, kappa_h: float, *,
         raise SizeLimitError(
             f"dense support verification limited to n <= {size_limit}, got n = {n}"
         )
-    pencil = condition_pair(stiffness.toarray(), kbar.toarray(), null_rtol=null_rtol)
+    pencil = condition_pair(stiffness.toarray()[None], kbar.toarray()[None],
+                            null_rtol=null_rtol)
+    sigma_ab = float(pencil.support_ab[0])
+    sigma_ba = float(pencil.support_ba[0])
+    kappa = float(pencil.kappa[0])
     max_ab = float(chi.support_k_kbar.max())
     max_ba = float(chi.support_kbar_k.max())
-    splitting_ok = (pencil.support_ab <= max_ab * (1.0 + rtol)
-                    and pencil.support_ba <= max_ba * (1.0 + rtol))
-    condition_ok = pencil.kappa <= kappa_h * (1.0 + rtol)
     return GlobalSupportReport(
-        sigma_k_kbar=pencil.support_ab,
-        sigma_kbar_k=pencil.support_ba,
-        kappa=pencil.kappa,
+        sigma_k_kbar=sigma_ab,
+        sigma_kbar_k=sigma_ba,
+        kappa=kappa,
         max_element_sigma_k_kbar=max_ab,
         max_element_sigma_kbar_k=max_ba,
         kappa_h=kappa_h,
-        splitting_ok=splitting_ok,
-        condition_bound_ok=condition_ok,
+        splitting_ok=(sigma_ab <= max_ab * (1.0 + rtol)
+                      and sigma_ba <= max_ba * (1.0 + rtol)),
+        condition_bound_ok=kappa <= kappa_h * (1.0 + rtol),
     )

@@ -4,9 +4,17 @@ Nothing here shares code with the package: shape functions come from the
 textbook barycentric formulas, pencil eigenvalues from an explicit
 inverse-square-root construction, and exact element integrals from the
 factorial formula applied to hand-expanded integrands.
+
+The per-element loops below are the element-by-element formulas the package
+evaluates on stacked arrays: geometry and stiffness per Gauss point, the
+compression/stretch scalars, the middle blocks, a dense scipy pencil per
+element and dictionary scatter assembly.  They take data (node coordinates,
+shape tables, weights) as input and use only numpy and scipy.
 """
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
 
 
 def barycentric(d, z):
@@ -85,3 +93,109 @@ def random_psd_pair(rng, n, rank):
     a = v @ h @ v.T
     b = v @ v.T
     return 0.5 * (a + a.T), 0.5 * (b + b.T)
+
+
+def loop_element_geometry(coords, vals, grads, theta_at):
+    """One element's Jacobians, inverse transposes, determinants, conductivities.
+
+    ``coords`` (l, d) node positions, ``vals`` (q, l) and ``grads`` (q, l, d)
+    reference shape tables, ``theta_at`` the conductivity at a point.
+    """
+    q, d = len(grads), coords.shape[1]
+    jac = np.empty((q, d, d))
+    inv_t = np.empty((q, d, d))
+    dets = np.empty(q)
+    theta = np.empty(q)
+    for k in range(q):
+        jac[k] = coords.T @ grads[k]
+        dets[k] = np.linalg.det(jac[k])
+        inv_t[k] = np.linalg.inv(jac[k]).T
+        theta[k] = theta_at(coords.T @ vals[k])
+    return jac, inv_t, dets, theta
+
+
+def loop_element_stiffness(inv_t, dets, theta, weights, grads):
+    """Dense element matrix summed Gauss point by Gauss point."""
+    l = grads.shape[1]
+    out = np.zeros((l, l))
+    for k in range(len(weights)):
+        phys = inv_t[k] @ grads[k].T
+        out += weights[k] * theta[k] * dets[k] * (phys.T @ phys)
+    return out
+
+
+def loop_alpha_beta(jac, inv_t):
+    """Worst inverse-Jacobian and Jacobian 2-norms over the Gauss points."""
+    alpha = max(np.linalg.norm(g, 2) for g in inv_t)
+    beta = max(np.linalg.norm(g, 2) for g in jac)
+    return alpha, beta
+
+
+def loop_h_block(inv_t, dets, theta, weights, samples, min_weight):
+    """Normalized middle block H of one element from its Gauss-point data.
+
+    ``samples`` is the (d*q, l-1) gradient sample matrix.  The diagonal
+    replacement scalar is min_weight * min theta * min det * alpha^2.
+    """
+    q, d = len(weights), inv_t.shape[1]
+    alpha = max(np.linalg.norm(g, 2) for g in inv_t)
+    j = np.vstack([(inv_t[k] / alpha) @ samples[k * d:(k + 1) * d]
+                   for k in range(q)])
+    diag = np.repeat(alpha ** 2 * theta * dets * weights, d)
+    scalar = min_weight * theta.min() * dets.min() * alpha ** 2
+    scaled = np.sqrt(diag)[:, None] * j / np.sqrt(scalar)
+    return scaled.T @ scaled, scalar
+
+
+def dense_pencil_kappa(a, b, null_rtol=1e-10):
+    """Condition number of (a, b) restricted to the range of b, via scipy eigh."""
+    w, v = np.linalg.eigh(b)
+    q = v[:, w > null_rtol * w[-1]]
+    eig = scipy.linalg.eigh(q.T @ a @ q, q.T @ b @ q, eigvals_only=True)
+    return eig[-1] / eig[0]
+
+
+def _upper_dict_to_csr(n, upper):
+    rows, cols, data = [], [], []
+    for (i, j), v in upper.items():
+        rows.append(i)
+        cols.append(j)
+        data.append(v)
+        if i != j:
+            rows.append(j)
+            cols.append(i)
+            data.append(v)
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def dict_scatter(n, elements, blocks):
+    """Symmetric CSR from element blocks, one dict entry per unordered pair."""
+    upper = {}
+    for ids, block in zip(elements, blocks):
+        for a in range(len(ids)):
+            for b in range(a, len(ids)):
+                i, j = ids[a], ids[b]
+                if i < n and j < n:
+                    key = (min(i, j), max(i, j))
+                    upper[key] = upper.get(key, 0.0) + block[a, b]
+    return _upper_dict_to_csr(n, upper)
+
+
+def dict_star_laplacian(n, elements, scalars):
+    """Kbar scattered arc by arc: each star arc joins local node 1 to node mu."""
+    upper = {}
+
+    def add(i, j, v):
+        key = (min(i, j), max(i, j))
+        upper[key] = upper.get(key, 0.0) + v
+
+    for ids, s in zip(elements, scalars):
+        tail = ids[0]
+        for head in ids[1:]:
+            if tail < n:
+                add(tail, tail, s)
+            if head < n:
+                add(head, head, s)
+            if tail < n and head < n:
+                add(tail, head, -s)
+    return _upper_dict_to_csr(n, upper)

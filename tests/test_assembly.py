@@ -29,27 +29,33 @@ def build_single(mesh_nodes, theta=1.0, dirichlet=None, d=2):
     return normalize_numbering(mesh)
 
 
-def geometry_of(mesh, theta=1.0, t=0):
+def geometry_of(mesh, theta=1.0):
     ref = ddfem.make_reference(mesh.d, mesh.p)
     rule = ddfem.standard_rule(mesh.d, mesh.p)
     field = ddfem.ConductivityField.from_constant(theta)
-    return ddfem.element_geometry(mesh, ref, rule, field, t), ref, rule
+    return ddfem.element_geometry(mesh, ref, rule, field), ref, rule
+
+
+def stiffness_of(mesh, theta=1.0):
+    """Element matrix of a single-element mesh."""
+    geom, ref, rule = geometry_of(mesh, theta)
+    return ddfem.element_stiffness(geom, ref, rule)[0]
 
 
 def test_identity_map_geometry(unit_triangle_mesh):
     geom, ref, rule = geometry_of(unit_triangle_mesh)
-    np.testing.assert_allclose(geom.jacobians[0], np.eye(2))
-    np.testing.assert_allclose(geom.dets, [1.0])
-    np.testing.assert_allclose(geom.inverse_transposes[0], np.eye(2))
-    np.testing.assert_allclose(geom.theta_vals, [1.0])
+    np.testing.assert_allclose(geom.jacobians[0, 0], np.eye(2))
+    np.testing.assert_allclose(geom.dets[0], [1.0])
+    np.testing.assert_allclose(geom.inverse_transposes[0, 0], np.eye(2))
+    np.testing.assert_allclose(geom.theta_vals[0], [1.0])
 
 
 def test_scaled_triangle_geometry():
     h = 0.25
     mesh = build_single([[0, 0], [h, 0], [0, h]])
     geom, _, _ = geometry_of(mesh)
-    np.testing.assert_allclose(geom.jacobians[0], h * np.eye(2))
-    np.testing.assert_allclose(geom.dets, [h * h])
+    np.testing.assert_allclose(geom.jacobians[0, 0], h * np.eye(2))
+    np.testing.assert_allclose(geom.dets[0], [h * h])
 
 
 def test_inverted_element_raises():
@@ -62,22 +68,19 @@ def test_inverted_element_raises():
 
 
 def test_unit_triangle_stiffness(unit_triangle_mesh):
-    geom, ref, rule = geometry_of(unit_triangle_mesh)
-    kt = ddfem.element_stiffness(geom, ref, rule)
+    kt = stiffness_of(unit_triangle_mesh)
     np.testing.assert_allclose(kt, UNIT_TRIANGLE_K, atol=1e-15)
 
 
 def test_stiffness_scale_invariance_2d():
     for h in (0.1, 3.0):
         mesh = build_single([[0, 0], [h, 0], [0, h]])
-        geom, ref, rule = geometry_of(mesh)
-        kt = ddfem.element_stiffness(geom, ref, rule)
+        kt = stiffness_of(mesh)
         np.testing.assert_allclose(kt, UNIT_TRIANGLE_K, atol=1e-14)
 
 
 def test_stiffness_linear_in_theta(unit_triangle_mesh):
-    geom, ref, rule = geometry_of(unit_triangle_mesh, theta=5.0)
-    kt = ddfem.element_stiffness(geom, ref, rule)
+    kt = stiffness_of(unit_triangle_mesh, theta=5.0)
     np.testing.assert_allclose(kt, 5.0 * UNIT_TRIANGLE_K, atol=1e-14)
 
 
@@ -91,8 +94,7 @@ def test_linear_elements_match_exact_integration(d):
         while np.linalg.det((base[1:] - base[0]).T) < 0.05:
             base = rng.standard_normal((d + 1, d))
         mesh = build_single(base, d=d)
-        geom, ref, rule = geometry_of(mesh, theta=2.5)
-        kt = ddfem.element_stiffness(geom, ref, rule)
+        kt = stiffness_of(mesh, theta=2.5)
         oracle = exact_p1_element_stiffness(base, theta=2.5)
         np.testing.assert_allclose(kt, oracle, atol=1e-12 * np.abs(oracle).max())
 
@@ -149,8 +151,7 @@ def test_all_dirichlet_gives_empty_system():
 
 
 def test_single_element_with_dirichlet_vertex(unit_triangle_mesh):
-    geom, ref, rule = geometry_of(unit_triangle_mesh)
-    full = ddfem.element_stiffness(geom, ref, rule)
+    full = stiffness_of(unit_triangle_mesh)
     mesh = build_single([[0, 0], [1, 0], [0, 1]], dirichlet=[0])
     system = ddfem.build_system(mesh)
     k = system.stiffness.toarray()
@@ -178,10 +179,8 @@ def test_load_picks_up_dirichlet_coupling():
     c = 3.5
     rhs = ddfem.assemble_load(mesh, system.ref, system.rule, system.theta,
                               0.0, dirichlet_values=c)
-    geom, ref, rule = geometry_of(mesh)
     full_mesh = build_single([[0, 0], [1, 0], [0, 1]])
-    geom_f, ref_f, rule_f = geometry_of(full_mesh)
-    kt = ddfem.element_stiffness(geom_f, ref_f, rule_f)
+    kt = stiffness_of(full_mesh)
     # constrained node is the origin; couplings are the -1/2 entries
     np.testing.assert_allclose(rhs, [0.5 * c, 0.5 * c], atol=1e-14)
     assert kt[0, 1] == pytest.approx(-0.5)
@@ -213,6 +212,20 @@ def test_matrix_text_roundtrip(two_triangle_square):
     np.testing.assert_array_equal(back.toarray(), system.stiffness.toarray())
     with pytest.raises(MeshFormatError):
         SparseSymmetricMatrix.load_text("bogus\n")
+
+
+def test_matrix_text_rejects_nonfinite_entry():
+    with pytest.raises(MeshFormatError) as exc:
+        SparseSymmetricMatrix.load_text(
+            "ddfem-matrix v1 n=2 symmetric=upper\nentry 1 1 2\nentry 1 2 nan\n")
+    assert exc.value.line == 3
+
+
+def test_nan_determinant_raises_orientation_error():
+    mesh = build_single([[0, 0], [np.nan, 0], [0, 1]])
+    with pytest.raises(ElementOrientationError) as exc:
+        geometry_of(mesh)
+    assert exc.value.element == 0 and np.isnan(exc.value.det)
 
 
 def test_exact_symmetry_of_assembled_matrix():

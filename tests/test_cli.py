@@ -244,3 +244,56 @@ def test_threads_env_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DDFEM_THREADS", "-1")
     code, _, _ = run(capsys, "report", "--kind", "square", "--k", "2")
     assert code == 4
+
+
+@pytest.mark.parametrize("text,line", [
+    ("ddfem-mesh v1 d=2 p=1\nnode 1 0 0 0\nnode 2 nan 0 0\nnode 3 0 1 0\n"
+     "elem 1 1 2 3\n", 3),
+    ("ddfem-mesh v1 d=2 p=1\nnode 1 0 0 0\nnode 2 1 0 0\nnode 3 0 1 0\n"
+     "elem 1 1 2 3\ntheta elem 1 inf\n", 6),
+])
+def test_nonfinite_mesh_values_exit_4(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.mesh"
+    bad.write_text(text)
+    code, _, err = run(capsys, "report", "--mesh", str(bad))
+    assert code == 4
+    assert f"line {line}" in err and "finite" in err
+
+
+def test_nonfinite_quadrature_file_exits_4(tmp_path, capsys):
+    qf = tmp_path / "rule.txt"
+    qf.write_text("# midpoint\n0.3 0.3 inf\n")
+    code, _, err = run(capsys, "report", "--kind", "square", "--k", "2",
+                       "--quad", str(qf))
+    assert code == 4
+    assert "line 2" in err and "finite" in err
+
+
+def test_nonfinite_config_values_exit_4(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = square\nk = 2\nquad_point = nan 0.3 0.5\n")
+    code, _, err = run(capsys, "report", "--config", str(cfg))
+    assert code == 4
+    assert "line 3" in err and "finite" in err
+    code, _, err = run(capsys, "solve", "--kind", "square", "--k", "2",
+                       "--tol", "nan", "--out", str(tmp_path / "x.txt"))
+    assert code == 4
+    assert "finite" in err
+
+
+def test_nan_determinant_exits_3(tmp_path, capsys):
+    # Finite coordinates whose Jacobian determinant evaluates to inf - inf.
+    bad = tmp_path / "huge.mesh"
+    bad.write_text("ddfem-mesh v1 d=2 p=1\nnode 1 0 0 0\nnode 2 1e200 1e200 0\n"
+                   "node 3 1e200 2e200 0\nelem 1 1 2 3\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run(capsys, "report", "--mesh", str(bad))
+    assert code == 3
+    assert "element 1" in err and "determinant nan" in err
+
+
+def test_infinite_conductivity_exits_3(capsys):
+    code, _, err = run(capsys, "report", "--kind", "square", "--k", "2",
+                       "--theta", "inf")
+    assert code == 3
+    assert "conductivity" in err and "element 1, Gauss point 1" in err

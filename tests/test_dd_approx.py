@@ -9,7 +9,8 @@ from ddfem.dd_approx import (
     chi3_element_bounds,
     refactorization_residuals,
 )
-from ddfem.pipeline import check_diagonal_dominance, element_kbar_blocks
+from ddfem.factorization import local_incidence
+from ddfem.pipeline import check_diagonal_dominance
 from ddfem.quality import QualityReport
 
 from conftest import jump_conductivity
@@ -134,7 +135,8 @@ def test_scaled_block_bounds(p):
     mesh = ddfem.gen_structured_square(3, p=p)
     theta = ddfem.ConductivityField.from_expression("1 + x + 2*y")
     system = ddfem.build_system(mesh, theta)
-    qual = ddfem.compute_quality(mesh, system.geometries, system.rule, system.sqp)
+    qual = ddfem.compute_quality(system.geometries, system.factors, system.rule,
+                                 system.sqp)
     dbar = build_dbar(system.factors, system.geometries, system.rule)
     h = build_h_blocks(system.factors, dbar)
     upper = np.sqrt(qual.theta_ratio * qual.det_ratio * qual.M_q / qual.m_q) \
@@ -209,9 +211,9 @@ def test_rescaling_leaves_conditioning_alone(scale, maker):
 def test_element_kbar_blocks_match_global(two_triangle_square):
     system = ddfem.build_system(two_triangle_square)
     bundle = ddfem.approximate(system)
-    blocks = element_kbar_blocks(system, bundle.dd.dbar)
+    star = local_incidence(3)
     scatter = np.zeros((4, 4))
     for t in range(2):
         ids = two_triangle_square.elements[t]
-        scatter[np.ix_(ids, ids)] += blocks[t]
+        scatter[np.ix_(ids, ids)] += bundle.dd.dbar.scalars[t] * (star.T @ star)
     np.testing.assert_allclose(scatter, bundle.dd.kbar.toarray(), atol=1e-14)

@@ -122,6 +122,8 @@ def test_custom_rule_validation():
         ddfem.make_rule(2, [(0.3, 0.3)], [0.25, 0.25])
     with pytest.raises(UnsupportedConfigError):
         ddfem.make_rule(2, [(0.3, 0.3, 0.1)], [0.5])
+    with pytest.raises(UnsupportedConfigError):
+        ddfem.make_rule(2, [(0.3, 0.3)], [np.inf])
 
 
 def test_parse_rule_records():

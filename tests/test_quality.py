@@ -11,7 +11,7 @@ GOLDEN_KAPPA1 = (3.0 + np.sqrt(5.0)) / 2.0   # structured-square triangle shape
 
 def quality_of(mesh, theta=None, rule=None):
     system = ddfem.build_system(mesh, theta, rule)
-    return compute_quality(mesh, system.geometries, system.rule, system.sqp)
+    return compute_quality(system.geometries, system.factors, system.rule, system.sqp)
 
 
 def test_structured_square_kappa1():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import ddfem
 from ddfem.errors import ConsistencyError, InfiniteSupportError, SizeLimitError
+from ddfem.factorization import local_incidence
 from ddfem.spectral import chi_report, global_support_check
 
 from oracles import random_psd_pair, restricted_pencil_eigenvalues
@@ -66,8 +67,9 @@ def test_condition_of_equal_matrices():
 def test_identity_triangle_pair_is_perfect(unit_triangle_mesh):
     system = ddfem.build_system(unit_triangle_mesh)
     bundle = ddfem.approximate(system)
+    star = local_incidence(3)
     pencil = ddfem.condition_pair(system.element_stiffness[0],
-                                  bundle.element_kbar[0])
+                                  bundle.dd.dbar.scalars[0] * (star.T @ star))
     assert pencil.kappa == pytest.approx(1.0, abs=1e-12)
 
 
@@ -132,10 +134,40 @@ def test_chi_report_rejects_inconsistent_inputs(unit_triangle_mesh):
     mesh2 = ddfem.gen_structured_square(1, p=1, dirichlet="none")
     system2 = ddfem.build_system(mesh2)
     bundle2 = ddfem.approximate(system2)
-    broken = [np.eye(h.shape[0]) for h in bundle2.dd.h_blocks.h]
+    broken = np.array([np.eye(h.shape[0]) for h in bundle2.dd.h_blocks.h])
     with pytest.raises(ConsistencyError):
-        chi_report(system2.element_stiffness, bundle2.element_kbar, broken,
+        chi_report(system2.element_stiffness, bundle2.dd.dbar.scalars, broken,
                    bundle2.quality, bundle2.dd.chi3_bound)
+
+
+def test_chi_report_rejects_rank_deficient_approximation(two_triangle_square):
+    system = ddfem.build_system(two_triangle_square)
+    bundle = ddfem.approximate(system)
+    scalars = bundle.dd.dbar.scalars.copy()
+    scalars[1] = 0.0
+    with pytest.raises(InfiniteSupportError):
+        chi_report(system.element_stiffness, scalars, bundle.dd.h_blocks.h,
+                   bundle.quality, bundle.dd.chi3_bound)
+
+
+def test_condition_pair_broadcasts_over_stacks():
+    rng = np.random.default_rng(7)
+    pairs = [random_psd_pair(rng, 6, 4) for _ in range(3)]
+    a = np.array([p[0] for p in pairs])
+    b = np.array([p[1] for p in pairs])
+    stacked = ddfem.condition_pair(a, b)
+    for t, (at, bt) in enumerate(pairs):
+        single = ddfem.condition_pair(at, bt)
+        np.testing.assert_allclose(stacked.eigenvalues[t], single.eigenvalues,
+                                   rtol=1e-12)
+    # one shared b against a stack of a
+    scales = np.array([1.0, 3.0])[:, None, None]
+    shared = ddfem.condition_pair(scales * a[0], b[0])
+    single = ddfem.condition_pair(a[0], b[0])
+    np.testing.assert_allclose(shared.kappa, [single.kappa] * 2, rtol=1e-12)
+    np.testing.assert_allclose(shared.support_ab,
+                               [single.support_ab, 3.0 * single.support_ab],
+                               rtol=1e-12)
 
 
 def test_global_support_check_small_meshes():
