@@ -135,7 +135,7 @@ def build_parser() -> _Parser:
     verify = subs.add_parser("verify", help="run the invariant battery")
     _add_input_options(verify)
     verify.add_argument("--dense-limit", type=int, default=None,
-                        help="largest n for the dense global checks")
+                        help="largest n for the global support checks")
     verify.add_argument("--debug-corrupt-kbar", action="store_true",
                         help="debug: damage the approximation to force failure")
 

@@ -110,7 +110,11 @@ class SingularSystemError(DDFemError):
 
 
 class SizeLimitError(DDFemError):
-    """A dense verification was requested beyond the configured size limit."""
+    """A verification was requested beyond the configured size limit."""
+
+
+class EigensolverError(DDFemError):
+    """An iterative eigensolver stopped without reaching its tolerance."""
 
 
 class ConsistencyError(DDFemError):

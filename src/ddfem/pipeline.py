@@ -13,7 +13,7 @@ import numpy as np
 
 from . import assembly, dd_approx, factorization, quality, spectral
 from .assembly import SparseSymmetricMatrix
-from .errors import ConsistencyError, InfiniteSupportError
+from .errors import ConsistencyError, EigensolverError, InfiniteSupportError
 from .mesh import ConductivityField, Mesh, conductivity_from_mesh
 from .quadrature import QuadratureRule, standard_rule, verify_exactness
 from .reference_element import ReferenceElement, SqpMatrix, build_sqp, make_reference
@@ -115,8 +115,8 @@ def verify_system(system: AssembledSystem, *, dense_limit: int = 600,
     factor singular value bounds, the stiffness factorization identity
     (element-wise and assembled), the middle-matrix refactorization identity,
     scaled-block singular value bounds, diagonal dominance of the
-    approximation, the measured chi chain, and (when the reduced system is
-    small enough) the dense global support bounds.
+    approximation, the measured chi chain, and (when the reduced system has
+    at most ``dense_limit`` unknowns) the global support bounds.
     """
     checks: list[CheckResult] = []
 
@@ -183,7 +183,8 @@ def verify_system(system: AssembledSystem, *, dense_limit: int = 600,
         try:
             glob = spectral.global_support_check(system.stiffness, dd.kbar, chi,
                                                  dd.h_blocks.kappa_global,
-                                                 rtol=order_rtol)
+                                                 rtol=order_rtol,
+                                                 size_limit=dense_limit)
             add("global-splitting-bound", glob.splitting_ok,
                 f"sigma {glob.sigma_k_kbar:.6g} vs element max "
                 f"{glob.max_element_sigma_k_kbar:.6g}")
@@ -192,6 +193,8 @@ def verify_system(system: AssembledSystem, *, dense_limit: int = 600,
         except InfiniteSupportError:
             add("global-splitting-bound", False,
                 "assembled pair has mismatched nullspaces")
+        except EigensolverError as exc:
+            add("global-splitting-bound", False, str(exc))
     return VerificationSummary(checks=checks)
 
 

@@ -28,46 +28,61 @@ def _as_csr(matrix):
     return sp.csr_matrix(matrix)
 
 
+def floating_components(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of a symmetric matrix's graph whose rows all sum to zero.
+
+    Such a component is a floating Laplacian block (no constrained node
+    anywhere in it) and carries its indicator vector in the nullspace.
+    Returns the component label of every node and the sorted labels of the
+    floating components.
+    """
+    csr = _as_csr(matrix)
+    row_sums = np.abs(np.asarray(csr.sum(axis=1)).reshape(-1))
+    diag_scale = float(np.abs(csr.diagonal()).max(initial=0.0)) or 1.0
+    n_comp, labels = csgraph.connected_components(csr, directed=False)
+    worst = np.zeros(n_comp)
+    np.maximum.at(worst, labels, row_sums)
+    return labels, np.flatnonzero(worst <= 1e-12 * diag_scale)
+
+
 class KbarFactor:
     """Exact sparse factorization handle supporting repeated solves.
 
-    Rejects singular input up front: a connected component of the matrix graph
-    whose rows all sum to zero is a floating Laplacian block (no constrained
-    node anywhere in the component), which has the component indicator in its
-    nullspace.
+    Rejects singular input up front: a floating component of the matrix graph
+    (see ``floating_components``) has its indicator in the nullspace.
     """
 
     def __init__(self, matrix):
-        csc = _as_csr(matrix).tocsc()
-        self.n = csc.shape[0]
+        csr = _as_csr(matrix)
+        self.n = csr.shape[0]
         if self.n == 0:
             self._lu = None
             return
-        row_sums = np.abs(np.asarray(csc.sum(axis=1)).reshape(-1))
-        diag_scale = float(np.abs(csc.diagonal()).max()) or 1.0
-        n_comp, labels = csgraph.connected_components(csc, directed=False)
-        for comp in range(n_comp):
+        labels, floating = floating_components(csr)
+        if floating.size:
+            comp = int(floating[0])
             members = np.flatnonzero(labels == comp)
-            if row_sums[members].max() <= 1e-12 * diag_scale:
-                raise SingularSystemError(
-                    f"matrix is singular: component {comp + 1} (nodes "
-                    f"{[int(i) + 1 for i in members[:8]]}"
-                    f"{'...' if len(members) > 8 else ''}) has no constrained node",
-                    component=members,
-                )
+            raise SingularSystemError(
+                f"matrix is singular: component {comp + 1} (nodes "
+                f"{[int(i) + 1 for i in members[:8]]}"
+                f"{'...' if len(members) > 8 else ''}) has no constrained node",
+                component=members,
+            )
+        csc = csr.tocsc()
         self._csc = csc
         # SPD-friendly settings: symmetric fill-reducing ordering, no pivoting.
         self._lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A",
                              diag_pivot_thresh=0.0,
                              options={"SymmetricMode": True})
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, *, refine: bool = True) -> np.ndarray:
         if self.n == 0:
             return np.zeros(0)
         x = self._lu.solve(rhs)
-        # One refinement step keeps the solve residual at the 1e-12 contract
-        # even for ill-scaled diagonals.
-        x += self._lu.solve(rhs - self._csc @ x)
+        if refine:
+            # One refinement step keeps the solve residual at the 1e-12
+            # contract even for ill-scaled diagonals.
+            x += self._lu.solve(rhs - self._csc @ x)
         return x
 
 

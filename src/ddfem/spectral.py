@@ -6,6 +6,12 @@ B sits inside the nullspace of A, and then equals the largest eigenvalue of
 the pencil restricted to the range of B.  The product of the two directed
 support numbers is the condition number governing preconditioned conjugate
 gradient behavior when one matrix preconditions the other.
+
+Element pencils are small and come in stacks, so they are solved densely and
+all at once.  The assembled pair is checked without forming a dense matrix:
+one node of every floating component of Kbar is grounded, which leaves an SPD
+pencil with the same eigenvalues off the nullspace, and Lanczos iterations on
+sparse factors of Kbar and K find its two extreme eigenvalues.
 """
 
 from __future__ import annotations
@@ -13,18 +19,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from .dd_approx import chi3_element_bounds
-from .errors import ConsistencyError, InfiniteSupportError, SizeLimitError
+from .errors import (ConsistencyError, EigensolverError, InfiniteSupportError,
+                     SingularSystemError, SizeLimitError)
 from .factorization import local_incidence
+from .solver import KbarFactor, floating_components
 
 # Eigenvalues below this multiple of the largest count as nullspace; both the
 # element matrices and their approximations carry exact constant nullspaces
 # that arrive contaminated by roundoff at the 1e-16 scale.
 NULLSPACE_RTOL = 1e-10
 
-# Dense verification guardrail.
-DEFAULT_DENSE_LIMIT = 2000
+# Largest reduced system the global support check accepts by default.
+DEFAULT_SIZE_LIMIT = 2000
+
+# Grounded pencils smaller than this are solved densely: ARPACK needs more
+# unknowns than Lanczos vectors (20 by default), and below a few dozen
+# unknowns a dense generalized solve costs less anyway.
+LANCZOS_MIN_N = 32
+
+# ARPACK's relative residual target.  Ritz values of a symmetric pencil are
+# accurate to about the square of the residual, so this keeps the extreme
+# eigenvalues far inside the 1e-10 agreement with a dense solve.
+LANCZOS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -184,7 +204,7 @@ def chi_report(element_k: np.ndarray, kbar_scalars: np.ndarray, h: np.ndarray,
 
 @dataclass(frozen=True)
 class GlobalSupportReport:
-    """Dense verification of the assembled pair against element-wise bounds."""
+    """Verification of the assembled pair against element-wise bounds."""
 
     sigma_k_kbar: float
     sigma_kbar_k: float
@@ -200,27 +220,102 @@ class GlobalSupportReport:
         return self.splitting_ok and self.condition_bound_ok
 
 
+def _grounded_pair(stiffness, kbar, null_rtol: float):
+    """K and Kbar with one node of every floating Kbar component deleted.
+
+    Kbar's nullspace is spanned by the indicators of its floating components;
+    K must annihilate each of them (InfiniteSupportError otherwise).  Both
+    quadratic forms are then invariant under adding a multiple of an
+    indicator, so fixing one node per component to zero keeps exactly the
+    pencil's eigenvalues off the nullspace.
+    """
+    k_csr = stiffness.csr
+    labels, floating = floating_components(kbar)
+    keep = np.ones(k_csr.shape[0], dtype=bool)
+    scale = float(np.abs(k_csr.data).max(initial=0.0))
+    for comp in floating:
+        members = np.flatnonzero(labels == comp)
+        unit = np.zeros(k_csr.shape[0])
+        unit[members] = 1.0 / np.sqrt(members.size)
+        if np.linalg.norm(k_csr @ unit) > null_rtol * scale:
+            raise InfiniteSupportError(unit)
+        keep[members[0]] = False
+    if not keep.any():
+        raise InfiniteSupportError(None)
+    return k_csr[keep][:, keep], kbar.csr[keep][:, keep]
+
+
+def _solve_operator(factor: KbarFactor) -> spla.LinearOperator:
+    # ARPACK only needs the backward-stable LU solve: refinement improves the
+    # forward error, which does not move the eigenvalues, at twice the cost.
+    return spla.LinearOperator((factor.n, factor.n),
+                               lambda x: factor.solve(x, refine=False))
+
+
+def _extreme_eigenvalues(a, b) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the SPD pencil (a, b).
+
+    Lanczos on b^-1 a for the top and shift-invert at zero for the bottom,
+    each applying one sparse factor; small pencils go to a dense solve.
+    """
+    n = a.shape[0]
+    if n < LANCZOS_MIN_N:
+        try:
+            w = scipy.linalg.eigh(a.toarray(), b.toarray(), eigvals_only=True)
+        except np.linalg.LinAlgError as exc:
+            # b is not positive definite: a nullspace beyond the indicators.
+            raise InfiniteSupportError(None) from exc
+        return float(w[0]), float(w[-1])
+    try:
+        a_factor = KbarFactor(a)
+    except (SingularSystemError, RuntimeError) as exc:
+        # RuntimeError: splu met an exactly singular pivot.
+        raise InfiniteSupportError(None) from exc
+    b_factor = KbarFactor(b)
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    try:
+        top = spla.eigsh(a, k=1, M=b, which="LA", v0=v0, tol=LANCZOS_TOL,
+                         Minv=_solve_operator(b_factor),
+                         return_eigenvectors=False)
+        bottom = spla.eigsh(a, k=1, M=b, sigma=0.0, which="LM", v0=v0,
+                            tol=LANCZOS_TOL,
+                            OPinv=_solve_operator(a_factor),
+                            return_eigenvectors=False)
+    except spla.ArpackError as exc:
+        raise EigensolverError(f"Lanczos eigensolver failed: {exc}") from exc
+    return float(bottom[0]), float(top[0])
+
+
 def global_support_check(stiffness, kbar, chi: ChiReport, kappa_h: float, *,
                          rtol: float = 1e-8,
-                         size_limit: int = DEFAULT_DENSE_LIMIT,
+                         size_limit: int = DEFAULT_SIZE_LIMIT,
                          null_rtol: float = NULLSPACE_RTOL) -> GlobalSupportReport:
     """Check that assembled support numbers obey the element-wise maxima.
 
     Verifies the splitting bound (each directed global support is at most the
     worst element value) and the middle-matrix route (the global pair condition
-    is at most the condition of the block-diagonal middle matrix).  Dense
-    eigen-solves only, guarded by ``size_limit``.
+    is at most the condition of the block-diagonal middle matrix).
+
+    Kbar's nullspace is removed by grounding one node of each floating
+    component (see ``_grounded_pair``), which leaves an SPD pencil with the
+    same eigenvalues; only its two extreme eigenvalues are needed, and they
+    come from Lanczos iterations on sparse factors of Kbar and K.  A nullspace
+    of K that Kbar does not share shows as a grounded K that will not factor
+    or a smallest eigenvalue below ``null_rtol`` times the largest, and raises
+    InfiniteSupportError.  Systems above ``size_limit`` raise SizeLimitError;
+    a Lanczos run that fails (ARPACK's non-convergence included) raises
+    EigensolverError.
     """
     n = stiffness.n
     if n > size_limit:
         raise SizeLimitError(
-            f"dense support verification limited to n <= {size_limit}, got n = {n}"
+            f"global support verification limited to n <= {size_limit}, got n = {n}"
         )
-    pencil = condition_pair(stiffness.toarray()[None], kbar.toarray()[None],
-                            null_rtol=null_rtol)
-    sigma_ab = float(pencil.support_ab[0])
-    sigma_ba = float(pencil.support_ba[0])
-    kappa = float(pencil.kappa[0])
+    lam_min, lam_max = _extreme_eigenvalues(
+        *_grounded_pair(stiffness, kbar, null_rtol))
+    if not lam_min > null_rtol * lam_max:
+        raise InfiniteSupportError(None)
+    sigma_ab, sigma_ba, kappa = lam_max, 1.0 / lam_min, lam_max / lam_min
     max_ab = float(chi.support_k_kbar.max())
     max_ba = float(chi.support_kbar_k.max())
     return GlobalSupportReport(

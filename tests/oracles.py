@@ -10,11 +10,18 @@ evaluates on stacked arrays: geometry and stiffness per Gauss point, the
 compression/stretch scalars, the middle blocks, a dense scipy pencil per
 element and dictionary scatter assembly.  They take data (node coordinates,
 shape tables, weights) as input and use only numpy and scipy.
+
+The one exception is ``dense_global_support``: the restricted pencil of the
+whole assembled pair, solved densely by the package's stacked
+``condition_pair`` (itself checked against ``restricted_pencil_eigenvalues``),
+as a reference for the grounded sparse global support check.
 """
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+
+from ddfem.spectral import condition_pair
 
 
 def barycentric(d, z):
@@ -153,6 +160,17 @@ def dense_pencil_kappa(a, b, null_rtol=1e-10):
     q = v[:, w > null_rtol * w[-1]]
     eig = scipy.linalg.eigh(q.T @ a @ q, q.T @ b @ q, eigvals_only=True)
     return eig[-1] / eig[0]
+
+
+def dense_global_support(stiffness, kbar, null_rtol=1e-10):
+    """(sigma(K, Kbar), sigma(Kbar, K), kappa) from dense n x n eigen-solves.
+
+    Raises InfiniteSupportError when the two nullspaces differ.
+    """
+    pencil = condition_pair(stiffness.toarray()[None], kbar.toarray()[None],
+                            null_rtol=null_rtol)
+    return (float(pencil.support_ab[0]), float(pencil.support_ba[0]),
+            float(pencil.kappa[0]))
 
 
 def _upper_dict_to_csr(n, upper):

@@ -121,7 +121,7 @@ def test_criterion_5_diagonal_dominance(acceptance_cases):
 
 
 def test_criterion_6_global_support(acceptance_cases):
-    """Dense pair condition below the element middle-block maximum."""
+    """Global pair condition below the element middle-block maximum."""
     checked = 0
     for label, system, bundle in acceptance_cases:
         if not 0 < system.stiffness.n <= 500:
@@ -135,6 +135,29 @@ def test_criterion_6_global_support(acceptance_cases):
         checked += 1
     assert checked == len(acceptance_cases)
     _report(6, f"verified on {checked} cases")
+
+
+def test_criterion_6_global_support_at_realistic_size():
+    """kappa(K, Kbar) <= kappa(H) <= chi3 on a 3D jump and a sheared 2D mesh."""
+    cube = ddfem.gen_structured_cube(10, p=2)
+    sheared = ddfem.transform_mesh(ddfem.gen_structured_square(40, p=1),
+                                   lambda x: np.array([x[0] + 4.0 * x[1], x[1]]))
+    sizes = []
+    for label, mesh, theta, n in (("cube k=10 p=2 theta jump", cube,
+                                   jump_conductivity(cube), 6859),
+                                  ("sheared square k=40 p=1", sheared, None, 1521)):
+        system = ddfem.build_system(mesh, theta)
+        assert system.stiffness.n == n, label
+        bundle = ddfem.approximate(system)
+        report = global_support_check(system.stiffness, bundle.dd.kbar,
+                                      bundle.chi, bundle.dd.h_blocks.kappa_global,
+                                      size_limit=n)
+        assert report.splitting_ok, label
+        assert report.kappa <= report.kappa_h * (1 + 1e-8), label
+        assert report.kappa_h <= bundle.dd.chi3_bound * (1 + 1e-8), label
+        sizes.append(f"n={n} kappa {report.kappa:.4g} <= kappa(H) "
+                     f"{report.kappa_h:.4g} <= chi3 {bundle.dd.chi3_bound:.4g}")
+    _report(6, "; ".join(sizes))
 
 
 def test_criterion_7_linear_structural_facts():

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import ddfem
 from ddfem.assembly import SparseSymmetricMatrix
@@ -171,6 +172,30 @@ def test_verify_dense_limit_skips_global_checks(capsys):
     assert code == 0
     assert "global-splitting-bound" in full
     assert "global-splitting-bound" not in gated
+
+
+def test_verify_dense_limit_above_default_size_limit(capsys):
+    # n = 2025 is above the library's default size limit of 2000: the
+    # user's --dense-limit is the only limit.
+    code, out, _ = run(capsys, "verify", "--kind", "square", "--k", "46",
+                       "--p", "1", "--dense-limit", "3000")
+    assert code == 0
+    assert "PASS global-splitting-bound" in out
+    assert "PASS global-condition-bound" in out
+
+
+def test_verify_reports_lanczos_nonconvergence(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    # n = 49: large enough for the Lanczos branch of the global check
+    code, out, _ = run(capsys, "verify", "--kind", "square", "--k", "8")
+    assert code == 2
+    assert "FAIL global-splitting-bound: Lanczos eigensolver failed" in out
+    assert "No convergence" in out
+    assert out.splitlines()[-1] == "verify: 1 of 8 checks failed"
 
 
 def test_solve_without_dirichlet_exits_3(capsys):

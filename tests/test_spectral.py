@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddfem
+from ddfem.assembly import SparseSymmetricMatrix
 from ddfem.errors import ConsistencyError, InfiniteSupportError, SizeLimitError
 from ddfem.factorization import local_incidence
-from ddfem.spectral import chi_report, global_support_check
+from ddfem.spectral import LANCZOS_MIN_N, chi_report, global_support_check
 
-from oracles import random_psd_pair, restricted_pencil_eigenvalues
+from conftest import jump_conductivity
+from oracles import (dense_global_support, random_psd_pair,
+                     restricted_pencil_eigenvalues)
 
 
 def test_support_trivial_cases():
@@ -208,3 +212,83 @@ def test_size_limit_guard():
     with pytest.raises(SizeLimitError):
         global_support_check(system.stiffness, bundle.dd.kbar, bundle.chi,
                              bundle.dd.h_blocks.kappa_global, size_limit=3)
+
+
+def _two_floating_squares():
+    """Two disjoint Dirichlet-free squares: Kbar has two floating components."""
+    one = ddfem.gen_structured_square(3, p=2, dirichlet="none")
+    nodes = np.vstack([one.nodes, one.nodes + [2.0, 0.0]])
+    return ddfem.Mesh(d=2, p=2, nodes=nodes,
+                      elements=np.vstack([one.elements,
+                                          one.elements + len(one.nodes)]),
+                      dirichlet=np.zeros(len(nodes), dtype=bool))
+
+
+def _cube_p2_jump():
+    mesh = ddfem.gen_structured_cube(4, p=2)
+    return mesh, jump_conductivity(mesh)
+
+
+# Grounded sizes 2, 3, 9, 96, 225 and 343 run both the dense branch (below
+# LANCZOS_MIN_N) and the Lanczos branch.
+ORACLE_CASES = {
+    "unit-triangle": lambda r: (r.getfixturevalue("unit_triangle_mesh"), None),
+    "two-triangles": lambda r: (r.getfixturevalue("two_triangle_square"), None),
+    "quarter-ring": lambda r: (r.getfixturevalue("quarter_ring_mesh"), None),
+    "two-floating-squares": lambda r: (_two_floating_squares(), None),
+    "dirichlet-square-p2": lambda r: (ddfem.gen_structured_square(8, p=2), None),
+    "cube-p2-jump": lambda r: _cube_p2_jump(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_global_support_check_matches_dense_oracle(case, request):
+    mesh, theta = ORACLE_CASES[case](request)
+    system = ddfem.build_system(mesh, theta)
+    bundle = ddfem.approximate(system)
+    report = global_support_check(system.stiffness, bundle.dd.kbar, bundle.chi,
+                                  bundle.dd.h_blocks.kappa_global)
+    expect = dense_global_support(system.stiffness, bundle.dd.kbar)
+    np.testing.assert_allclose(
+        [report.sigma_k_kbar, report.sigma_kbar_k, report.kappa], expect,
+        rtol=1e-10)
+
+
+def _symmetric(csr):
+    upper = sp.triu(csr).tocoo()
+    return SparseSymmetricMatrix.from_upper(csr.shape[0], upper.row, upper.col,
+                                            upper.data)
+
+
+@pytest.mark.parametrize("k", [2, 6])
+def test_global_check_rejects_k_off_kbar_nullspace(k):
+    # Kbar of a Dirichlet-free square floats; a K that no longer annihilates
+    # the constant vector has infinite support over it.
+    system = ddfem.build_system(ddfem.gen_structured_square(k, p=1,
+                                                            dirichlet="none"))
+    bundle = ddfem.approximate(system)
+    n = system.stiffness.n
+    bumped = _symmetric(system.stiffness.csr
+                        + sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n)))
+    with pytest.raises(InfiniteSupportError) as exc:
+        global_support_check(bumped, bundle.dd.kbar, bundle.chi, 1.0)
+    np.testing.assert_allclose(exc.value.direction, np.full(n, n ** -0.5))
+
+
+@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("how", ["shifted-pencil", "zero-row-sums"])
+def test_global_check_rejects_extra_k_nullspace(k, how):
+    # Kbar is definite (Dirichlet square); K gets a nullspace Kbar lacks.
+    system = ddfem.build_system(ddfem.gen_structured_square(k, p=1))
+    bundle = ddfem.approximate(system)
+    assert (system.stiffness.n < LANCZOS_MIN_N) == (k == 4)
+    kk = system.stiffness.csr
+    if how == "shifted-pencil":
+        lam_min = 1.0 / dense_global_support(system.stiffness, bundle.dd.kbar)[1]
+        singular = kk - lam_min * bundle.dd.kbar.csr
+    else:
+        singular = kk - sp.diags(np.asarray(kk.sum(axis=1)).reshape(-1))
+    with pytest.raises(InfiniteSupportError):
+        dense_global_support(_symmetric(singular), bundle.dd.kbar)
+    with pytest.raises(InfiniteSupportError):
+        global_support_check(_symmetric(singular), bundle.dd.kbar, bundle.chi, 1.0)
