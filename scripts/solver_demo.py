@@ -29,11 +29,11 @@ def main():
         np.where(centroids[:, 0] < 0.5, 1.0, args.jump))
 
     system = ddfem.build_system(mesh, theta)
-    bundle = ddfem.approximate(system)
+    kbar = ddfem.kbar_for_solve(system)
     rhs = ddfem.assemble_load(mesh, system.ref, system.rule, theta, 1.0,
                               geometries=system.geometries)
 
-    handle = factor_kbar(bundle.dd.kbar)
+    handle = factor_kbar(kbar)
     pre = pcg_solve(system.stiffness, rhs, preconditioner=handle, tol=args.tol)
     plain = pcg_solve(system.stiffness, rhs, preconditioner=None, tol=args.tol)
 
@@ -44,8 +44,7 @@ def main():
     print(f"unpreconditioned: {plain.iterations:4d} iterations, "
           f"residual {plain.relative_residual:.2e}")
     if n <= 600:
-        pencil = condition_pair(system.stiffness.toarray(),
-                                bundle.dd.kbar.toarray())
+        pencil = condition_pair(system.stiffness.toarray(), kbar.toarray())
         print(f"pair condition number {pencil.kappa:.4g}, iteration bound "
               f"{cg_iteration_bound(pencil.kappa, args.tol)}")
     if pre.estimated_condition is not None:

@@ -34,7 +34,7 @@ from .mesh import (
     save_mesh,
     transform_mesh,
 )
-from .pipeline import approximate, build_system, verify_system
+from .pipeline import approximate, build_system, kbar_for_solve, verify_system
 from .quadrature import (
     QuadratureRule,
     exact_monomial_integral,
@@ -100,6 +100,7 @@ __all__ = [
     "gen_structured_square",
     "global_support_check",
     "insert_midpoints",
+    "kbar_for_solve",
     "load_mesh",
     "make_reference",
     "make_rule",

@@ -119,8 +119,11 @@ def build_all_factors(geometries: ElementGeometry, sqp: SqpMatrix,
                       rule: QuadratureRule) -> ElementFactors:
     """Assemble the middle factors of every element."""
     m, q, d, _ = geometries.jacobians.shape
-    alpha = spectral_norm(geometries.inverse_transposes).max(axis=1)
-    beta = spectral_norm(geometries.jacobians).max(axis=1)
+    # One batched SVD of the inverse transposes gives both extremes:
+    # ||J||_2 = 1 / sigma_min(J^-T).
+    s = np.linalg.svd(geometries.inverse_transposes, compute_uv=False)
+    alpha = s[..., 0].max(axis=1)
+    beta = (1.0 / s[..., -1]).max(axis=1)
     a = alpha[:, None]
     weights = a * a * geometries.theta_vals * geometries.dets * rule.weights
     r_blocks = geometries.inverse_transposes / alpha[:, None, None, None]

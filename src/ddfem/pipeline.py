@@ -70,6 +70,16 @@ def _quality(system: AssembledSystem) -> quality.QualityReport:
                                    system.rule, system.sqp)
 
 
+def kbar_for_solve(system: AssembledSystem) -> SparseSymmetricMatrix:
+    """Kbar alone, from the Dbar scalars and the star incidence.
+
+    This is the matrix ``approximate`` puts in ``dd.kbar``, without the
+    quality report, H blocks or chi chain that the solver never reads.
+    """
+    dbar = dd_approx.build_dbar(system.factors, system.geometries, system.rule)
+    return dd_approx.build_kbar(system.incidence, dbar)
+
+
 def approximate(system: AssembledSystem) -> ApproximationBundle:
     qual = _quality(system)
     dd = dd_approx.build_dd_approximation(system.incidence, system.factors,
@@ -106,7 +116,8 @@ def _corrupted_kbar(kbar: SparseSymmetricMatrix) -> SparseSymmetricMatrix:
     return SparseSymmetricMatrix(kbar.n, upper)
 
 
-def verify_system(system: AssembledSystem, *, dense_limit: int = 600,
+def verify_system(system: AssembledSystem, *,
+                  dense_limit: int = spectral.DEFAULT_SIZE_LIMIT,
                   order_rtol: float = 1e-8, identity_tol: float = 1e-10,
                   corrupt_kbar: bool = False) -> VerificationSummary:
     """Run the full invariant battery on an assembled system.

@@ -141,8 +141,8 @@ def test_usage_error_exits_4(capsys):
 
 def test_solve_writes_solution(tmp_path, capsys):
     out = tmp_path / "sol.txt"
-    code, stdout, _ = run(capsys, "solve", "--kind", "square", "--k", "8",
-                          "--tol", "1e-10", "--out", str(out))
+    code, stdout, err = run(capsys, "solve", "--kind", "square", "--k", "8",
+                            "--tol", "1e-10", "--out", str(out))
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "ddfem-solution v1 n=49"
@@ -152,6 +152,9 @@ def test_solve_writes_solution(tmp_path, capsys):
     assert residual <= 1e-10
     assert next(l for l in lines if l.startswith("converged")).endswith("1")
     assert "preconditioned" in stdout
+    assert "unpreconditioned" not in stdout
+    assert not any(l.startswith("iterations unpreconditioned") for l in lines)
+    assert err.count("wall time") == 1
 
 
 def test_solve_output_deterministic(tmp_path, capsys):
@@ -164,6 +167,19 @@ def test_solve_output_deterministic(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("value,expected", [("false", 0), ("0", 0),
+                                            ("true", 2), ("yes", 2),
+                                            ("maybe", 4)])
+def test_verify_config_debug_corrupt_kbar(tmp_path, capsys, value, expected):
+    # A config value is parsed as a boolean, not tested for being non-empty.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"kind = square\nk = 3\ndebug_corrupt_kbar = {value}\n")
+    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == expected
+    if expected == 4:
+        assert "debug_corrupt_kbar" in err
+
+
 def test_verify_dense_limit_skips_global_checks(capsys):
     code, full, _ = run(capsys, "verify", "--kind", "square", "--k", "4")
     assert code == 0
@@ -172,6 +188,13 @@ def test_verify_dense_limit_skips_global_checks(capsys):
     assert code == 0
     assert "global-splitting-bound" in full
     assert "global-splitting-bound" not in gated
+
+
+def test_verify_default_runs_global_checks_at_n_961(capsys):
+    code, out, _ = run(capsys, "verify", "--kind", "square", "--k", "32")
+    assert code == 0
+    assert "PASS global-splitting-bound" in out
+    assert "PASS global-condition-bound" in out
 
 
 def test_verify_dense_limit_above_default_size_limit(capsys):
