@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -103,9 +102,6 @@ def _add_input_options(sub):
                           "or 'mesh' for per-element values from the mesh file")
     sub.add_argument("--quad", default=None,
                      help="'standard' or a file of 'x y [z] w' lines")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker count contract; every value runs the "
-                          "deterministic reference path")
 
 
 def build_parser() -> _Parser:
@@ -138,8 +134,6 @@ def build_parser() -> _Parser:
                         help="largest n for the global support checks "
                              f"(default {pipeline.spectral.DEFAULT_SIZE_LIMIT}); "
                              "the checks form no dense matrix")
-    verify.add_argument("--debug-corrupt-kbar", action="store_true",
-                        help="debug: damage the approximation to force failure")
 
     solve = subs.add_parser("solve", help="preconditioned conjugate gradient demo")
     _add_input_options(solve)
@@ -160,19 +154,22 @@ def _merge_config(args) -> dict:
     for key, val in vars(args).items():
         if key in ("command", "config"):
             continue
-        if val is not None and val is not False:
+        if val is not None:
             merged[key] = val
     return merged
 
 
-def _intval(cfg, key, default=None):
+def _intval(cfg, key, default=None, *, least=None):
     v = cfg.get(key, default)
     if v is None:
         return None
     try:
-        return int(v)
+        value = int(v)
     except (TypeError, ValueError):
         raise UnsupportedConfigError(f"{key} must be an integer, got {v!r}") from None
+    if least is not None and value < least:
+        raise UnsupportedConfigError(f"{key} must be at least {least}, got {value}")
+    return value
 
 
 def _floatval(cfg, key, default=None):
@@ -186,18 +183,6 @@ def _floatval(cfg, key, default=None):
     if not math.isfinite(value):
         raise UnsupportedConfigError(f"{key} must be a finite number, got {v!r}")
     return value
-
-
-def _boolval(cfg, key) -> bool:
-    v = cfg.get(key, False)
-    if isinstance(v, bool):
-        return v
-    text = str(v).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise UnsupportedConfigError(f"{key} must be true or false, got {v!r}")
 
 
 def _resolve_mesh(cfg):
@@ -253,16 +238,6 @@ def _resolve_source(cfg):
         field = ConductivityField.from_expression(raw.removeprefix("expr:"))
         return lambda x: float(field.fn(x))
     return _floatval(cfg, "source")
-
-
-def _threads(cfg) -> int:
-    v = cfg.get("threads")
-    if v is None:
-        v = os.environ.get("DDFEM_THREADS", "1")
-    n = int(v)
-    if n < 1:
-        raise UnsupportedConfigError(f"threads must be >= 1, got {n}")
-    return n
 
 
 def _report_dict(system, bundle) -> dict:
@@ -345,10 +320,9 @@ def _cmd_verify(cfg) -> int:
     mesh = _resolve_mesh(cfg)
     system = pipeline.build_system(mesh, _resolve_theta(cfg, mesh),
                                    _resolve_rule(cfg, mesh))
-    limit = _intval(cfg, "dense_limit")
+    limit = _intval(cfg, "dense_limit", least=0)
     options = {} if limit is None else {"dense_limit": limit}
-    summary = pipeline.verify_system(
-        system, corrupt_kbar=_boolval(cfg, "debug_corrupt_kbar"), **options)
+    summary = pipeline.verify_system(system, **options)
     for check in summary.checks:
         status = "PASS" if check.passed else "FAIL"
         sys.stdout.write(f"{status} {check.name}: {check.detail}\n")
@@ -361,6 +335,10 @@ def _cmd_verify(cfg) -> int:
 
 
 def _cmd_solve(cfg) -> int:
+    tol = _floatval(cfg, "tol", 1e-10)
+    if tol <= 0.0:
+        raise UnsupportedConfigError(f"tol must be positive, got {tol!r}")
+    max_iter = _intval(cfg, "max_iter", least=1)
     mesh = _resolve_mesh(cfg)
     if mesh.n_free == mesh.n_nodes:
         raise SingularSystemError(
@@ -372,8 +350,6 @@ def _cmd_solve(cfg) -> int:
     rhs = assemble_load(mesh, system.ref, rule, theta, _resolve_source(cfg),
                         geometries=system.geometries,
                         element_k=system.element_stiffness)
-    tol = _floatval(cfg, "tol", 1e-10)
-    max_iter = _intval(cfg, "max_iter")
     handle = factor_kbar(kbar)
     pre = pcg_solve(system.stiffness, rhs, preconditioner=handle, tol=tol,
                     max_iter=max_iter)
@@ -410,7 +386,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        _threads(cfg)
         return _COMMANDS[args.command](cfg)
     except MethodAssumptionError as exc:
         sys.stderr.write(f"assumption violated: {exc}\n")

@@ -58,16 +58,18 @@ def build_system(mesh: Mesh, theta: ConductivityField | None = None,
 
 @dataclass(frozen=True, eq=False)
 class ApproximationBundle:
-    """Approximation, quality scalars and the measured chi chain for a system."""
+    """Approximation, quality scalars and the chi chain for a system."""
 
     quality: quality.QualityReport
     dd: dd_approx.DDApproximation
     chi: spectral.ChiReport
 
 
-def _quality(system: AssembledSystem) -> quality.QualityReport:
-    return quality.compute_quality(system.geometries, system.factors,
+def _quality_and_dd(system: AssembledSystem):
+    qual = quality.compute_quality(system.geometries, system.factors,
                                    system.rule, system.sqp)
+    return qual, dd_approx.build_dd_approximation(
+        system.incidence, system.factors, system.geometries, system.rule, qual)
 
 
 def kbar_for_solve(system: AssembledSystem) -> SparseSymmetricMatrix:
@@ -81,11 +83,8 @@ def kbar_for_solve(system: AssembledSystem) -> SparseSymmetricMatrix:
 
 
 def approximate(system: AssembledSystem) -> ApproximationBundle:
-    qual = _quality(system)
-    dd = dd_approx.build_dd_approximation(system.incidence, system.factors,
-                                          system.geometries, system.rule, qual)
-    chi = spectral.chi_report(system.element_stiffness, dd.dbar.scalars,
-                              dd.h_blocks.h, qual, dd.chi3_bound)
+    qual, dd = _quality_and_dd(system)
+    chi = spectral.chi_report(dd.h_blocks, qual, dd.chi3_bound)
     return ApproximationBundle(quality=qual, dd=dd, chi=chi)
 
 
@@ -105,29 +104,18 @@ class VerificationSummary:
         return all(c.passed for c in self.checks)
 
 
-def _corrupted_kbar(kbar: SparseSymmetricMatrix) -> SparseSymmetricMatrix:
-    # Debug hook: flip the sign of one off-diagonal entry so the diagonal
-    # dominance check must fail.
-    upper = {(i, j): v for i, j, v in kbar.upper_entries()}
-    for (i, j), v in upper.items():
-        if i != j and v != 0.0:
-            upper[(i, j)] = -v
-            break
-    return SparseSymmetricMatrix(kbar.n, upper)
-
-
 def verify_system(system: AssembledSystem, *,
                   dense_limit: int = spectral.DEFAULT_SIZE_LIMIT,
-                  order_rtol: float = 1e-8, identity_tol: float = 1e-10,
-                  corrupt_kbar: bool = False) -> VerificationSummary:
+                  order_rtol: float = 1e-8,
+                  identity_tol: float = 1e-10) -> VerificationSummary:
     """Run the full invariant battery on an assembled system.
 
     Checks, in order: quadrature exactness at the required degree, element
     factor singular value bounds, the stiffness factorization identity
     (element-wise and assembled), the middle-matrix refactorization identity,
     scaled-block singular value bounds, diagonal dominance of the
-    approximation, the measured chi chain, and (when the reduced system has
-    at most ``dense_limit`` unknowns) the global support bounds.
+    approximation, the chi chain, and (when the reduced system has at most
+    ``dense_limit`` unknowns) the global support bounds.
     """
     checks: list[CheckResult] = []
 
@@ -138,7 +126,7 @@ def verify_system(system: AssembledSystem, *,
     add("quadrature-exactness", exact.passed,
         f"degree {exact.degree}, max error {exact.max_error:.3e}")
 
-    qual = _quality(system)
+    qual, dd = _quality_and_dd(system)
     sv = factorization.element_j_singular_values(system.factors)
     ab = qual.alpha * qual.beta
     upper_ok = bool(np.all(sv[:, 0] <= system.sqp.sigma_qp + 1e-10))
@@ -153,13 +141,6 @@ def verify_system(system: AssembledSystem, *,
     add("factorization-identity", report.passed,
         f"element max {report.max_element_residual:.3e}, "
         f"assembled {report.global_residual:.3e}")
-
-    dd = dd_approx.build_dd_approximation(system.incidence, system.factors,
-                                          system.geometries, system.rule, qual)
-    if corrupt_kbar:
-        dd = dd_approx.DDApproximation(
-            dbar=dd.dbar, kbar=_corrupted_kbar(dd.kbar),
-            h_blocks=dd.h_blocks, chi3_bound=dd.chi3_bound)
 
     refac = dd_approx.refactorization_residuals(system.factors, dd.dbar,
                                                 dd.h_blocks)
@@ -179,8 +160,7 @@ def verify_system(system: AssembledSystem, *,
     add("approximation-diagonal-dominance", dd_ok, dd_detail)
 
     try:
-        chi = spectral.chi_report(system.element_stiffness, dd.dbar.scalars,
-                                  dd.h_blocks.h, qual, dd.chi3_bound,
+        chi = spectral.chi_report(dd.h_blocks, qual, dd.chi3_bound,
                                   order_rtol=order_rtol)
         add("chi-chain", True,
             f"max chi1 {chi.max_chi1:.6g} <= max chi2 {chi.max_chi2:.6g} "

@@ -182,7 +182,8 @@ def pcg_solve(stiffness, rhs: np.ndarray, preconditioner: KbarFactor | None = No
     return SolveResult(
         x=x,
         iterations=iterations,
-        relative_residual=history[-1] if history else 0.0,
+        # With no step taken x is still zero, whose residual is rhs itself.
+        relative_residual=history[-1] if history else 1.0,
         converged=converged,
         residual_history=history,
         ritz_values=ritz,

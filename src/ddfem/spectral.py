@@ -7,11 +7,14 @@ the pencil restricted to the range of B.  The product of the two directed
 support numbers is the condition number governing preconditioned conjugate
 gradient behavior when one matrix preconditions the other.
 
-Element pencils are small and come in stacks, so they are solved densely and
-all at once.  The assembled pair is checked without forming a dense matrix:
-one node of every floating component of Kbar is grounded, which leaves an SPD
-pencil with the same eigenvalues off the nullspace, and Lanczos iterations on
-sparse factors of Kbar and K find its two extreme eigenvalues.
+Element pencils need no eigensolve of their own: each has the spectrum of its
+element's middle block, whose singular values the approximation already holds
+(see ``chi_report``).  ``condition_pair`` and ``support_number`` solve small
+pencils, single or stacked, densely and all at once.  The assembled pair is
+checked without forming a dense matrix: one node of every floating component
+of Kbar is grounded, which leaves an SPD pencil with the same eigenvalues off
+the nullspace, and Lanczos iterations on sparse factors of Kbar and K find its
+two extreme eigenvalues.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .dd_approx import chi3_element_bounds
+from .dd_approx import HBlocks, chi3_element_bounds
 from .errors import (ConsistencyError, EigensolverError, InfiniteSupportError,
                      SingularSystemError, SizeLimitError)
-from .factorization import local_incidence
 from .solver import KbarFactor, floating_components
 
 # Eigenvalues below this multiple of the largest count as nullspace; both the
@@ -145,7 +147,7 @@ def condition_pair(a: np.ndarray, b: np.ndarray, *,
 class ChiReport:
     """Element-level approximation quality and the analytic bound chain."""
 
-    chi1: np.ndarray            # (m,) measured pair condition numbers
+    chi1: np.ndarray            # (m,) kappa(K_t, Kbar_t): the chi2 array itself
     chi2: np.ndarray            # (m,) middle-block condition numbers
     chi3_element: np.ndarray    # (m,) element-local analytic bounds
     chi3: float                 # mesh-level analytic bound
@@ -155,35 +157,32 @@ class ChiReport:
     max_chi2: float
 
 
-def chi_report(element_k: np.ndarray, kbar_scalars: np.ndarray, h: np.ndarray,
-               quality, chi3_value: float, *, order_rtol: float = 1e-8,
-               null_rtol: float = NULLSPACE_RTOL) -> ChiReport:
-    """Per-element chain: measured pair condition, middle condition, bound.
+def chi_report(h_blocks: HBlocks, quality, chi3_value: float, *,
+               order_rtol: float = 1e-8) -> ChiReport:
+    """Per-element chain: pair condition, middle condition, analytic bound.
 
-    Element t's approximation block is kbar_scalars[t] times the local star
-    Laplacian, so the pencil of every element stiffness matrix (m, l, l) is
-    taken against that one shared Laplacian and rescaled.  A scalar that is
-    not finite and positive leaves its block without the Laplacian's range
-    rank l-1 and raises InfiniteSupportError.  chi2 comes from the middle
-    blocks h (m, l-1, l-1).
+    Element t's approximation is Kbar_t = s_t A^T A with A the onto star
+    incidence, while K_t = A^T (s_t H_t) A.  On the range of A^T the pencil
+    (K_t, Kbar_t) therefore has exactly the eigenvalues of H_t, the squared
+    singular values of the scaled block (Boman & Hendrickson's splitting
+    lemma).  So chi1 is chi2, the condition of H_t, and the directed supports
+    are sigma_max^2 and 1/sigma_min^2; everything comes from ``h_blocks``.
+    A smallest singular value that is not finite and positive leaves Kbar_t
+    without support over K_t and raises InfiniteSupportError.
 
-    The chain chi1 <= chi2 <= chi3 holds in exact arithmetic; a violation
+    The chain chi2 <= chi3_t <= chi3 holds in exact arithmetic; a violation
     beyond ``order_rtol`` relative slack raises ConsistencyError naming the
     first offending element, since it can only come from a broken
     construction.
     """
-    if not np.all(np.isfinite(kbar_scalars) & (kbar_scalars > 0.0)):
+    sigma_min = h_blocks.sigma_min
+    if not np.all(np.isfinite(sigma_min) & (sigma_min > 0.0)):
         raise InfiniteSupportError(None)
-    star = local_incidence(element_k.shape[-1])
-    pencil = condition_pair(element_k, star.T @ star, null_rtol=null_rtol)
-    chi1 = pencil.kappa
-    hw = np.linalg.eigvalsh(h)
-    chi2 = hw[:, -1] / hw[:, 0]
+    chi2 = h_blocks.kappa_per_element
     chi3_elem = chi3_element_bounds(quality)
 
     slack = 1.0 + order_rtol
     links = [
-        ("measured pair condition", chi1, "middle-block condition", chi2),
         ("middle-block condition", chi2, "its analytic bound", chi3_elem),
         ("local analytic bound", chi3_elem, "the mesh-level bound",
          np.full_like(chi3_elem, chi3_value)),
@@ -194,11 +193,12 @@ def chi_report(element_k: np.ndarray, kbar_scalars: np.ndarray, h: np.ndarray,
         name, lower, bound, upper = links[int(np.argmax(broken[:, t]))]
         raise ConsistencyError(f"element {t + 1}: {name} {lower[t]:.6g} exceeds "
                                f"{bound} {upper[t]:.6g}")
+    worst = float(chi2.max())
     return ChiReport(
-        chi1=chi1, chi2=chi2, chi3_element=chi3_elem, chi3=chi3_value,
-        support_k_kbar=pencil.support_ab / kbar_scalars,
-        support_kbar_k=pencil.support_ba * kbar_scalars,
-        max_chi1=float(chi1.max()), max_chi2=float(chi2.max()),
+        chi1=chi2, chi2=chi2, chi3_element=chi3_elem, chi3=chi3_value,
+        support_k_kbar=h_blocks.sigma_max ** 2,
+        support_kbar_k=1.0 / sigma_min ** 2,
+        max_chi1=worst, max_chi2=worst,
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg
 
 import ddfem
+from ddfem import dd_approx
 from ddfem.assembly import SparseSymmetricMatrix
 from ddfem.cli import main
 
@@ -100,9 +101,18 @@ def test_verify_healthy_mesh(capsys):
     assert "all" in out and "FAIL" not in out
 
 
-def test_verify_corrupt_kbar_exits_2(capsys):
-    code, out, _ = run(capsys, "verify", "--kind", "square", "--k", "4",
-                       "--debug-corrupt-kbar")
+def test_verify_corrupt_kbar_exits_2(capsys, monkeypatch):
+    build_kbar = dd_approx.build_kbar
+
+    def corrupted(*args):
+        # flip the sign of one off-diagonal entry: it turns positive
+        upper = {(i, j): v for i, j, v in build_kbar(*args).upper_entries()}
+        i, j = next(key for key in upper if key[0] != key[1])
+        upper[i, j] = -upper[i, j]
+        return SparseSymmetricMatrix(args[0].n, upper)
+
+    monkeypatch.setattr(dd_approx, "build_kbar", corrupted)
+    code, out, _ = run(capsys, "verify", "--kind", "square", "--k", "4")
     assert code == 2
     assert "FAIL approximation-diagonal-dominance" in out
 
@@ -167,19 +177,6 @@ def test_solve_output_deterministic(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
-@pytest.mark.parametrize("value,expected", [("false", 0), ("0", 0),
-                                            ("true", 2), ("yes", 2),
-                                            ("maybe", 4)])
-def test_verify_config_debug_corrupt_kbar(tmp_path, capsys, value, expected):
-    # A config value is parsed as a boolean, not tested for being non-empty.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"kind = square\nk = 3\ndebug_corrupt_kbar = {value}\n")
-    code, _, err = run(capsys, "verify", "--config", str(cfg))
-    assert code == expected
-    if expected == 4:
-        assert "debug_corrupt_kbar" in err
-
-
 def test_verify_dense_limit_skips_global_checks(capsys):
     code, full, _ = run(capsys, "verify", "--kind", "square", "--k", "4")
     assert code == 0
@@ -219,6 +216,23 @@ def test_verify_reports_lanczos_nonconvergence(capsys, monkeypatch):
     assert "FAIL global-splitting-bound: Lanczos eigensolver failed" in out
     assert "No convergence" in out
     assert out.splitlines()[-1] == "verify: 1 of 8 checks failed"
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["solve", "--tol", "0"], "tol"),
+    (["solve", "--tol", "-1"], "tol"),
+    (["solve", "--max-iter", "0"], "max_iter"),
+    (["solve", "--max-iter", "-5"], "max_iter"),
+    (["verify", "--dense-limit", "-1"], "dense_limit"),
+])
+def test_unreachable_limits_exit_4(tmp_path, capsys, argv, key):
+    # A limit no run can meet is usage trouble, caught before any work.
+    out = tmp_path / "x.txt"
+    extra = ["--out", str(out)] if argv[0] == "solve" else []
+    code, _, err = run(capsys, *argv, "--kind", "square", "--k", "4", *extra)
+    assert code == 4
+    assert key in err
+    assert not out.exists()
 
 
 def test_solve_without_dirichlet_exits_3(capsys):
@@ -277,21 +291,6 @@ def test_theta_expression_flag(capsys):
                             "--p", "2", "--format", "json")
     # intra-element conductivity variation inflates the analytic bound
     assert json.loads(js)["chi3"] > json.loads(js_const)["chi3"]
-
-
-def test_threads_validation(capsys):
-    code, _, err = run(capsys, "report", "--kind", "square", "--k", "2",
-                       "--threads", "0")
-    assert code == 4
-
-
-def test_threads_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DDFEM_THREADS", "2")
-    code, _, _ = run(capsys, "report", "--kind", "square", "--k", "2")
-    assert code == 0
-    monkeypatch.setenv("DDFEM_THREADS", "-1")
-    code, _, _ = run(capsys, "report", "--kind", "square", "--k", "2")
-    assert code == 4
 
 
 @pytest.mark.parametrize("text,line", [

@@ -22,6 +22,7 @@ from oracles import (
     loop_element_geometry,
     loop_element_stiffness,
     loop_h_block,
+    restricted_pencil_eigenvalues,
 )
 
 RTOL_ELEMENT = 1e-12
@@ -104,6 +105,22 @@ def test_chi_chain_matches_dense_pencils(case):
     chi2 = [np.linalg.cond(h) for _, _, _, h, _ in oracle]
     np.testing.assert_allclose(bundle.chi.chi1, chi1, rtol=RTOL_ELEMENT)
     np.testing.assert_allclose(bundle.chi.chi2, chi2, rtol=RTOL_ELEMENT)
+
+
+def test_element_supports_match_dense_pencils(case):
+    # The pencil (K_t, Kbar_t) has the spectrum of H_t, so the chain reads its
+    # extremes off the H singular values: check them against the pencil.
+    system, bundle = case
+    oracle = _oracle_elements(system)
+    star = local_incidence(system.ref.l)
+    lap = star.T @ star
+    eig = np.array([restricted_pencil_eigenvalues(kt, scalar * lap)
+                    for kt, _, _, _, scalar in oracle])
+    np.testing.assert_allclose(bundle.chi.support_k_kbar, eig[:, -1],
+                               rtol=RTOL_ELEMENT)
+    np.testing.assert_allclose(bundle.chi.support_kbar_k, 1.0 / eig[:, 0],
+                               rtol=RTOL_ELEMENT)
+    np.testing.assert_array_equal(bundle.chi.chi1, bundle.chi.chi2)
 
 
 def test_assembled_matrices_match_dict_scatter(case):

@@ -157,6 +157,19 @@ def test_nonconvergence_reports_history():
     assert result.relative_residual > 1e-14
 
 
+def test_no_step_reports_unit_residual():
+    # With no step taken x stays zero: its residual is the whole rhs, never 0.
+    n = 4
+    eye = SparseSymmetricMatrix(n, {(i, i): 1.0 for i in range(n)})
+    negative = SparseSymmetricMatrix(n, {(i, i): -1.0 for i in range(n)})
+    for matrix, max_iter in ((eye, 0), (negative, None)):
+        result = pcg_solve(matrix, np.ones(n), max_iter=max_iter)
+        assert result.iterations == 0
+        assert not result.converged
+        assert result.relative_residual == 1.0
+        np.testing.assert_array_equal(result.x, np.zeros(n))
+
+
 def test_solver_accepts_plain_scipy_matrix():
     a = sp.csr_matrix(np.diag([2.0, 3.0]))
     result = pcg_solve(a, np.array([2.0, 3.0]), tol=1e-12)

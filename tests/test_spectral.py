@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -134,24 +136,24 @@ def test_chi_report_on_mesh():
 def test_chi_report_rejects_inconsistent_inputs(unit_triangle_mesh):
     system = ddfem.build_system(unit_triangle_mesh)
     bundle = ddfem.approximate(system)
-    # claim a much better-conditioned middle block than the pair shows
-    mesh2 = ddfem.gen_structured_square(1, p=1, dirichlet="none")
-    system2 = ddfem.build_system(mesh2)
-    bundle2 = ddfem.approximate(system2)
-    broken = np.array([np.eye(h.shape[0]) for h in bundle2.dd.h_blocks.h])
+    h = bundle.dd.h_blocks
+    # claim a middle block conditioned far worse than its analytic bound allows
+    broken = dataclasses.replace(h, sigma_max=2.0 * h.sigma_max,
+                                 kappa_per_element=4.0 * h.kappa_per_element)
     with pytest.raises(ConsistencyError):
-        chi_report(system2.element_stiffness, bundle2.dd.dbar.scalars, broken,
-                   bundle2.quality, bundle2.dd.chi3_bound)
+        chi_report(broken, bundle.quality, bundle.dd.chi3_bound)
 
 
 def test_chi_report_rejects_rank_deficient_approximation(two_triangle_square):
     system = ddfem.build_system(two_triangle_square)
     bundle = ddfem.approximate(system)
-    scalars = bundle.dd.dbar.scalars.copy()
-    scalars[1] = 0.0
-    with pytest.raises(InfiniteSupportError):
-        chi_report(system.element_stiffness, scalars, bundle.dd.h_blocks.h,
-                   bundle.quality, bundle.dd.chi3_bound)
+    h = bundle.dd.h_blocks
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        sigma_min = h.sigma_min.copy()
+        sigma_min[1] = bad
+        with pytest.raises(InfiniteSupportError):
+            chi_report(dataclasses.replace(h, sigma_min=sigma_min),
+                       bundle.quality, bundle.dd.chi3_bound)
 
 
 def test_condition_pair_broadcasts_over_stacks():
