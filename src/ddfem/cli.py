@@ -13,6 +13,7 @@ nondeterministic (like wall time) lands in an artifact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,12 +60,14 @@ def _fmt17(v) -> str:
     return f"{float(v):.17g}"
 
 
-def read_config_file(path: str) -> dict:
-    """Parse ``key = value`` lines.
+def read_config_file(path: str) -> tuple[dict, dict]:
+    """Parse ``key = value`` lines into the values and each key's line number.
 
-    Repeated ``quad_point`` keys accumulate as (line number, fields) records.
+    Repeated ``quad_point`` keys accumulate as (line number, fields) records;
+    any other repeated key keeps its last value and line.
     """
     values: dict = {}
+    lines: dict = {}
     quad_points: list[tuple[int, list[str]]] = []
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -83,9 +86,10 @@ def read_config_file(path: str) -> dict:
             quad_points.append((ln, val.split()))
         else:
             values[key] = val
+            lines[key] = ln
     if quad_points:
         values["quad_point"] = quad_points
-    return values
+    return values, lines
 
 
 def _add_input_options(sub):
@@ -147,9 +151,20 @@ def build_parser() -> _Parser:
 
 
 def _merge_config(args) -> dict:
+    """Config file values overridden by the flags given on the command line.
+
+    A config key must name a flag of the subcommand being run (or be
+    ``quad_point``); any other key is rejected with its line number.
+    """
     cfg = {}
     if getattr(args, "config", None):
-        cfg = read_config_file(args.config)
+        cfg, lines = read_config_file(args.config)
+        flags = set(vars(args)) - {"command", "config"}
+        for key, ln in lines.items():
+            if key not in flags:
+                raise MeshFormatError(
+                    f"unknown config key {key!r}: not a flag of {args.command}",
+                    line=ln)
     merged = dict(cfg)
     for key, val in vars(args).items():
         if key in ("command", "config"):
@@ -381,9 +396,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _main_parser() -> _Parser:
+    # Built once per process and only read: a fresh parser costs a few
+    # thousand allocations per call, and a garbage collection they set off
+    # lands outside every traced stage of an in-process run.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
         return _COMMANDS[args.command](cfg)

@@ -53,12 +53,15 @@ class DDApproximation:
     chi3_bound: float
 
 
-def build_dbar(factors: ElementFactors, geometries: ElementGeometry,
+def build_dbar(alpha: np.ndarray, geometries: ElementGeometry,
                rule: QuadratureRule) -> DbarBlocks:
-    """Scalar diagonal blocks: smallest weight times per-element minima."""
+    """Scalar diagonal blocks: smallest weight times per-element minima.
+
+    ``alpha`` is the per-element maximum compression (``element_alpha``).
+    """
     f = geometries.theta_vals.min(axis=1)
     g = geometries.dets.min(axis=1)
-    return DbarBlocks(scalars=rule.m_q * f * g * factors.alpha ** 2, f=f, g=g)
+    return DbarBlocks(scalars=rule.m_q * f * g * alpha ** 2, f=f, g=g)
 
 
 def build_kbar(incidence: IncidenceMatrix, dbar: DbarBlocks) -> SparseSymmetricMatrix:
@@ -124,7 +127,7 @@ def refactorization_residuals(factors: ElementFactors,
 def build_dd_approximation(incidence: IncidenceMatrix, factors, geometries,
                            rule: QuadratureRule,
                            quality: QualityReport) -> DDApproximation:
-    dbar = build_dbar(factors, geometries, rule)
+    dbar = build_dbar(factors.alpha, geometries, rule)
     return DDApproximation(
         dbar=dbar,
         kbar=build_kbar(incidence, dbar),

@@ -60,7 +60,11 @@ class ElementFactors:
     between the two, so j^T diag(d_diag) j reproduces the element stiffness on
     arc differences.  alpha is the worst inverse-Jacobian 2-norm over the
     Gauss points (maximum compression), beta the worst Jacobian 2-norm
-    (maximum stretch).
+    (maximum stretch).  Both are square roots of the largest eigenvalue of a
+    d x d Gram block (see ``element_alpha`` and ``build_all_factors``): the
+    largest eigenvalue of a symmetric matrix is accurate to roundoff relative
+    to itself, so neither norm is taken from a smallest eigenvalue, which
+    would square the block's condition number.
     """
 
     alpha: np.ndarray       # (m,)
@@ -115,15 +119,30 @@ def save_incidence(inc: IncidenceMatrix, target) -> None:
             fh.close()
 
 
-def build_all_factors(geometries: ElementGeometry, sqp: SqpMatrix,
-                      rule: QuadratureRule) -> ElementFactors:
-    """Assemble the middle factors of every element."""
+def _largest_norm(blocks: np.ndarray) -> np.ndarray:
+    """Worst 2-norm over the Gauss points of an (m, q, d, d) stack: (m,)."""
+    gram = blocks.swapaxes(-1, -2) @ blocks
+    return np.sqrt(np.linalg.eigvalsh(gram)[..., -1].max(axis=1))
+
+
+def element_alpha(geometries: ElementGeometry) -> np.ndarray:
+    """Maximum compression per element: the worst ||J^-T||_2 over Gauss points.
+
+    This is all the graph Laplacian approximation needs from the factors.
+    """
+    return _largest_norm(geometries.inverse_transposes)
+
+
+def build_all_factors(geometries: ElementGeometry, alpha: np.ndarray,
+                      sqp: SqpMatrix, rule: QuadratureRule) -> ElementFactors:
+    """Assemble the middle factors of every element around the given alpha.
+
+    ``alpha`` is ``element_alpha(geometries)``; beta, the worst ||J||_2, is
+    the square root of the largest eigenvalue of J^T J, never
+    1/sqrt(lambda_min) of the inverse Gram block.
+    """
     m, q, d, _ = geometries.jacobians.shape
-    # One batched SVD of the inverse transposes gives both extremes:
-    # ||J||_2 = 1 / sigma_min(J^-T).
-    s = np.linalg.svd(geometries.inverse_transposes, compute_uv=False)
-    alpha = s[..., 0].max(axis=1)
-    beta = (1.0 / s[..., -1]).max(axis=1)
+    beta = _largest_norm(geometries.jacobians)
     a = alpha[:, None]
     weights = a * a * geometries.theta_vals * geometries.dets * rule.weights
     r_blocks = geometries.inverse_transposes / alpha[:, None, None, None]

@@ -8,6 +8,7 @@ whose check list mirrors the mathematical guarantees of the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,12 @@ from .reference_element import ReferenceElement, SqpMatrix, build_sqp, make_refe
 
 @dataclass(frozen=True, eq=False)
 class AssembledSystem:
-    """Everything derived from one (mesh, conductivity, rule) triple."""
+    """Everything derived from one (mesh, conductivity, rule) triple.
+
+    ``alpha`` is computed up front because ``Kbar`` needs it; the full
+    ``factors`` (beta, the weights and the j stack) are built on first use,
+    so a solve never builds them.
+    """
 
     mesh: Mesh
     ref: ReferenceElement
@@ -32,7 +38,12 @@ class AssembledSystem:
     element_stiffness: np.ndarray    # (m, l, l) dense element matrices
     stiffness: SparseSymmetricMatrix  # reduced, n x n
     incidence: factorization.IncidenceMatrix
-    factors: factorization.ElementFactors
+    alpha: np.ndarray                # (m,) max compression per element
+
+    @cached_property
+    def factors(self) -> factorization.ElementFactors:
+        return factorization.build_all_factors(self.geometries, self.alpha,
+                                               self.sqp, self.rule)
 
 
 def build_system(mesh: Mesh, theta: ConductivityField | None = None,
@@ -52,7 +63,7 @@ def build_system(mesh: Mesh, theta: ConductivityField | None = None,
         geometries=geometries, element_stiffness=element_k,
         stiffness=assembly.assemble_global(mesh, element_k),
         incidence=factorization.build_incidence(mesh),
-        factors=factorization.build_all_factors(geometries, sqp, rule),
+        alpha=factorization.element_alpha(geometries),
     )
 
 
@@ -78,7 +89,7 @@ def kbar_for_solve(system: AssembledSystem) -> SparseSymmetricMatrix:
     This is the matrix ``approximate`` puts in ``dd.kbar``, without the
     quality report, H blocks or chi chain that the solver never reads.
     """
-    dbar = dd_approx.build_dbar(system.factors, system.geometries, system.rule)
+    dbar = dd_approx.build_dbar(system.alpha, system.geometries, system.rule)
     return dd_approx.build_kbar(system.incidence, dbar)
 
 

@@ -254,6 +254,29 @@ def test_config_file_preloads_flags(tmp_path, capsys):
     assert json.loads(js2)["m"] == 8
 
 
+@pytest.mark.parametrize("line", ["toll = -1", "threads = 0",
+                                  "debug_corrupt_kbar = true", "tol = 1e-8"])
+def test_config_unknown_key_exits_4(tmp_path, capsys, line):
+    # tol is a solve flag, not a verify flag.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"kind = square\nk = 3\n# comment\n{line}\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 4
+    assert out == ""
+    key = line.split("=")[0].strip()
+    assert f"line 4: unknown config key {key!r}" in err
+
+
+def test_config_with_verify_flags_runs(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = square\nk = 3\np = 2\ndense-limit = 100\n"
+                   "theta = 2\nquad = standard\n")
+    code, out, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    assert "global-condition-bound" in out
+    assert out.endswith("checks passed\n")
+
+
 def test_config_custom_quadrature(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

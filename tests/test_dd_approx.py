@@ -32,7 +32,7 @@ def synthetic_quality(kappa1=1.0, kappa2=1.0, theta_hat=1.0,
 
 def test_dbar_identity_triangle(unit_triangle_mesh):
     system = ddfem.build_system(unit_triangle_mesh)
-    dbar = build_dbar(system.factors, system.geometries, system.rule)
+    dbar = build_dbar(system.alpha, system.geometries, system.rule)
     np.testing.assert_allclose(dbar.scalars, [0.5])
     np.testing.assert_allclose(dbar.f, [1.0])
     np.testing.assert_allclose(dbar.g, [1.0])
@@ -42,14 +42,14 @@ def test_dbar_scales_with_theta(unit_triangle_mesh):
     c = 42.0
     system = ddfem.build_system(
         unit_triangle_mesh, ddfem.ConductivityField.from_constant(c))
-    dbar = build_dbar(system.factors, system.geometries, system.rule)
+    dbar = build_dbar(system.alpha, system.geometries, system.rule)
     np.testing.assert_allclose(dbar.scalars, [0.5 * c])
 
 
 def test_dbar_strictly_positive_under_jump():
     mesh = ddfem.gen_structured_square(4, p=1)
     system = ddfem.build_system(mesh, jump_conductivity(mesh))
-    dbar = build_dbar(system.factors, system.geometries, system.rule)
+    dbar = build_dbar(system.alpha, system.geometries, system.rule)
     assert np.all(dbar.scalars > 0)
     assert np.all(dbar.f > 0) and np.all(dbar.g > 0)
 
@@ -58,7 +58,7 @@ def test_dbar_invariant_under_2d_rescaling(unit_triangle_mesh):
     for h in (1e-2, 1e2):
         scaled = ddfem.transform_mesh(unit_triangle_mesh, lambda x: h * x)
         system = ddfem.build_system(scaled)
-        dbar = build_dbar(system.factors, system.geometries, system.rule)
+        dbar = build_dbar(system.alpha, system.geometries, system.rule)
         np.testing.assert_allclose(dbar.scalars, [0.5], rtol=1e-12)
 
 
@@ -137,7 +137,7 @@ def test_scaled_block_bounds(p):
     system = ddfem.build_system(mesh, theta)
     qual = ddfem.compute_quality(system.geometries, system.factors, system.rule,
                                  system.sqp)
-    dbar = build_dbar(system.factors, system.geometries, system.rule)
+    dbar = build_dbar(system.alpha, system.geometries, system.rule)
     h = build_h_blocks(system.factors, dbar)
     upper = np.sqrt(qual.theta_ratio * qual.det_ratio * qual.M_q / qual.m_q) \
         * system.sqp.sigma_qp
@@ -150,7 +150,7 @@ def test_refactorization_identity_on_meshes():
     for mesh in (ddfem.gen_structured_square(3, p=2),
                  ddfem.gen_structured_cube(2, p=2)):
         system = ddfem.build_system(mesh)
-        dbar = build_dbar(system.factors, system.geometries, system.rule)
+        dbar = build_dbar(system.alpha, system.geometries, system.rule)
         h = build_h_blocks(system.factors, dbar)
         residuals = refactorization_residuals(system.factors, dbar, h)
         assert residuals.max() <= 1e-10

@@ -111,6 +111,31 @@ def test_sliver_blows_up_alpha_beta():
     assert products[2] > 1e4
 
 
+def _largest_norm_reference(blocks):
+    """Worst 2-norm over Gauss points of 2x2 blocks, closed form in long double."""
+    a = blocks.astype(np.longdouble)
+    gram = np.swapaxes(a, -1, -2) @ a
+    tr = gram[..., 0, 0] + gram[..., 1, 1]
+    det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 1, 0]
+    return np.sqrt((tr + np.sqrt(tr * tr - 4 * det)) / 2).max(axis=1)
+
+
+def test_alpha_beta_accurate_on_slivers():
+    # Both norms are square roots of the largest eigenvalue of a Gram block,
+    # accurate to roundoff.  beta taken as 1/sigma_min of the inverse
+    # transpose would lose a factor of the element's condition (1e5 here).
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-5], [0.3, 0.7]])
+    mesh = ddfem.Mesh(d=2, p=1, nodes=nodes, elements=np.array([[0, 1, 2], [0, 1, 3]]),
+                      dirichlet=np.zeros(4, dtype=bool))
+    system = ddfem.build_system(mesh)
+    geom = system.geometries
+    for got, blocks in ((system.factors.alpha, geom.inverse_transposes),
+                        (system.factors.beta, geom.jacobians)):
+        want = _largest_norm_reference(blocks)
+        assert np.all(np.abs(got - want) <= 2e-15 * want)
+    np.testing.assert_array_equal(system.alpha, system.factors.alpha)
+
+
 def meshes_for_identity():
     yield ddfem.gen_structured_square(3, p=1), None
     yield ddfem.gen_structured_square(3, p=2), None

@@ -139,6 +139,7 @@ def test_midpoint_dirichlet_inheritance_3d():
     lambda: ddfem.insert_midpoints(ddfem.gen_structured_square(1, p=1,
                                                                dirichlet="none")),
     lambda: ddfem.gen_structured_cube(2, p=2),
+    lambda: ddfem.gen_structured_square(40, p=1),   # several reader blocks
 ])
 def test_roundtrip_identity(maker):
     mesh = maker()
@@ -190,6 +191,145 @@ def test_parse_error_names_line():
         ddfem.load_mesh("not a mesh\n")
     with pytest.raises(MeshFormatError):
         ddfem.load_mesh(io.StringIO("ddfem-mesh v1 d=2 p=1\nnode 1 0 0 2\n"))
+
+
+# Two triangles on the unit square with per-element conductivity; nodes 1
+# and 2 are Dirichlet, so loading renumbers them last.
+CONTRACT_MESH = """ddfem-mesh v1 d=2 p=1
+node 1 0 0 1
+node 2 1 0 1
+node 3 0 1 0
+node 4 1 1 0
+elem 1 1 2 4
+elem 2 1 4 3
+theta elem 1 2.5
+theta elem 2 4
+"""
+
+
+def _edited(edits: dict) -> str:
+    """CONTRACT_MESH with line number -> replacement text applied."""
+    lines = CONTRACT_MESH.splitlines()
+    for ln, text in edits.items():
+        lines[ln - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edits,line,fragment", [
+    ({1: "ddfem-mesh v2 d=2 p=1"}, 1, "bad header"),
+    ({1: "ddfem-mesh v1 d=4 p=1"}, 1, "unsupported d=4 p=1"),
+    ({4: "node 3 0 1"}, 4, "node line needs 5 fields, got 4"),
+    ({4: "node 3 0 1 0 7"}, 4, "node line needs 5 fields, got 6"),
+    ({4: "node 3.0 0 1 0"}, 4, "invalid literal for int() with base 10: '3.0'"),
+    ({4: "node 3 0 one 0"}, 4, "could not convert string to float: 'one'"),
+    ({4: "node 3 nan 1 0"}, 4, "node 3 has a non-finite coordinate"),
+    ({4: "node 3 0 -inf 0"}, 4, "node 3 has a non-finite coordinate"),
+    ({4: "node 3 0 1 x"}, 4, "invalid literal for int() with base 10: 'x'"),
+    ({4: "node 3 0 1 2"}, 4, "dirichlet flag must be 0 or 1, got 2"),
+    ({5: "node 3 1 1 0"}, 5, "duplicate node index 3"),
+    ({7: "elem 2 1 4"}, 7, "elem line needs 5 fields, got 4"),
+    ({6: "elem 1 1 2 4.0"}, 6, "invalid literal for int() with base 10: '4.0'"),
+    ({6: "elem x 1 2 4"}, 6, "invalid literal for int() with base 10: 'x'"),
+    ({7: "elem 1 1 4 3"}, 7, "duplicate element index 1"),
+    ({8: "theta elem 1"}, 8, "theta line must read 'theta elem <t> <value>'"),
+    ({8: "theta node 1 2.5"}, 8, "theta line must read 'theta elem <t> <value>'"),
+    ({8: "theta elem 1 abc"}, 8, "could not convert string to float: 'abc'"),
+    ({8: "theta elem 1 nan"}, 8, "theta value 'nan' is not finite"),
+    ({9: "theta elem 2 inf"}, 9, "theta value 'inf' is not finite"),
+    ({9: "theta elem 2.5 4"}, 9, "invalid literal for int() with base 10: '2.5'"),
+    ({5: "edge 1 2"}, 5, "unknown record 'edge'"),
+    ({4: "node 5 0 1 0"}, None, "node indices must be exactly 1..4"),
+    ({7: "elem 3 1 4 3"}, None, "element indices must be exactly 1..2"),
+    ({9: "theta elem 3 4"}, None, "theta lines must cover every element exactly once"),
+    # Two bad lines: the first in file order is reported, whatever its check.
+    ({3: "node 2 1 0 7", 4: "node 3 0 1"}, 3, "dirichlet flag must be 0 or 1, got 7"),
+    ({5: "node 4 1 1", 7: "elem 2 1 4 3.5"}, 5, "node line needs 5 fields, got 4"),
+    ({6: "elem 1 1 2 x", 8: "theta elem 1 nan"}, 6, "invalid literal"),
+    ({4: "elem 1 1 2", 6: "node 3 0 nan 0"}, 4, "elem line needs 5 fields, got 4"),
+    ({3: "theta elem 1 inf", 4: "node 3 0 1 9"}, 3, "theta value 'inf' is not finite"),
+    ({2: "node 1 0 0 1", 3: "node 1 1 0 1", 4: "bogus"}, 3, "duplicate node index 1"),
+])
+def test_reader_rejections(edits, line, fragment):
+    with pytest.raises(MeshFormatError) as exc:
+        ddfem.load_mesh(io.StringIO(_edited(edits)))
+    assert exc.value.line == line
+    assert fragment in str(exc.value)
+
+
+def _large_mesh_lines():
+    # 1681 node, 3200 element and 3200 theta lines: each record kind spans
+    # several of the reader's blocks.
+    mesh = ddfem.gen_structured_square(40, p=1)
+    mesh = ddfem.Mesh(d=2, p=1, nodes=mesh.nodes, elements=mesh.elements,
+                      dirichlet=mesh.dirichlet,
+                      theta_elem=np.linspace(1.0, 2.0, mesh.n_elements))
+    return mesh_to_text(mesh).splitlines()
+
+
+@pytest.mark.parametrize("edits,line,fragment", [
+    # line 1 + n holds node n, line 1682 + t element t, line 4882 + t theta t
+    ({1501: "node 3 0.5 0.5 0"}, 1501, "duplicate node index 3"),
+    ({1500: "node 1499 0.5 0.5 7", 1600: "node 1599 0.5"}, 1500,
+     "dirichlet flag must be 0 or 1, got 7"),
+    ({1682 + 2000: "elem 5 1 2 3"}, 3682, "duplicate element index 5"),
+    ({1682 + 3000: "elem 3000 1 2"}, 4682, "elem line needs 5 fields, got 4"),
+    ({4882 + 2500: "theta elem 2500 nan"}, 7382, "theta value 'nan' is not finite"),
+    ({4882 + 3100: "thetas elem 3100 1"}, 7982, "unknown record 'thetas'"),
+])
+def test_reader_rejections_across_blocks(edits, line, fragment):
+    lines = _large_mesh_lines()
+    for ln, text in edits.items():
+        lines[ln - 1] = text
+    with pytest.raises(MeshFormatError) as exc:
+        ddfem.load_mesh(io.StringIO("\n".join(lines) + "\n"))
+    assert exc.value.line == line
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("text,line,fragment", [
+    ("", 1, "empty mesh file"),
+    ("ddfem-mesh v1 d=2 p=1\n# only a comment\n", 1, "mesh has no nodes"),
+    ("ddfem-mesh v1 d=2 p=1\nnode 1 0 0 0\n", None, "mesh has no elements"),
+])
+def test_reader_rejects_empty_parts(text, line, fragment):
+    with pytest.raises(MeshFormatError) as exc:
+        ddfem.load_mesh(io.StringIO(text))
+    assert exc.value.line == line
+    assert fragment in str(exc.value)
+
+
+def test_reader_accepts_layout_freedom():
+    # Comments, blank lines, tabs, leading and trailing spaces, CRLF line
+    # endings, and records interleaved out of index order.
+    messy = "\r\n".join([
+        "ddfem-mesh v1 d=2 p=1  ",
+        "# comment before the records",
+        "theta elem 2 4",
+        "   node 4\t1 1 0",
+        "",
+        "elem 2 1\t4 3   ",
+        "\t# indented comment",
+        "node 2 1 0 1",
+        "theta elem 1 2.5",
+        "  ",
+        "node 3 0 1 0",
+        "elem 1 1 2 4",
+        "node 1 0 0 1",
+    ]) + "\r\n"
+    clean = ddfem.load_mesh(io.StringIO(CONTRACT_MESH))
+    got = ddfem.load_mesh(io.StringIO(messy))
+    for name in ("nodes", "elements", "dirichlet", "theta_elem", "permutation"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(clean, name))
+    assert clean.permutation is not None
+
+
+@pytest.mark.parametrize("index", ["0", "-1", "5", "100000000000000000000"])
+def test_element_node_out_of_range_before_renumbering(index):
+    # Node 1 is Dirichlet, so loading renumbers; a node index outside 1..4
+    # must be rejected rather than wrap around to another node.
+    text = _edited({3: "node 2 1 0 0", 7: f"elem 2 {index} 2 3"})
+    with pytest.raises(MeshInvariantError, match="out of range"):
+        ddfem.load_mesh(io.StringIO(text))
 
 
 def test_invariant_violations():

@@ -206,3 +206,67 @@ def test_patch_quadratic_solution_reproduced_exactly():
                        preconditioner=factor_kbar(bundle.dd.kbar), tol=1e-13)
     want = np.array([exact(x) for x in mesh.nodes[:mesh.n_free]])
     assert np.abs(result.x - want).max() <= 1e-12
+
+
+def _jump_cube_problem(k):
+    mesh = ddfem.gen_structured_cube(k, p=2)
+    theta = jump_conductivity(mesh)
+    system = ddfem.build_system(mesh, theta)
+    rhs = ddfem.assemble_load(mesh, system.ref, system.rule, theta, 1.0,
+                              geometries=system.geometries)
+    return system, rhs, factor_kbar(ddfem.kbar_for_solve(system))
+
+
+def _true_residual(system, rhs, x):
+    # The same CSR product the solver uses: a residual near 1e-11 computed in
+    # another summation order would differ at its own roundoff level.
+    return np.linalg.norm(rhs - system.stiffness.csr @ x) / np.linalg.norm(rhs)
+
+
+def test_converged_residual_is_the_true_residual():
+    system, rhs, handle = _jump_cube_problem(2)
+    tol = 1e-10
+    result = pcg_solve(system.stiffness, rhs, preconditioner=handle, tol=tol)
+    assert result.converged
+    want = _true_residual(system, rhs, result.x)
+    assert result.relative_residual == pytest.approx(want, rel=1e-12)
+    assert result.relative_residual <= tol
+    assert len(result.residual_history) == result.iterations
+    assert result.residual_history[-1] == result.relative_residual
+
+
+def test_unattainable_tol_reports_the_true_residual():
+    # Below attainable accuracy the recurrence residual keeps shrinking while
+    # the true residual stalls near roundoff: trusting the recurrence would
+    # report convergence or a residual far below the real one.
+    system, rhs, handle = _jump_cube_problem(2)
+    result = pcg_solve(system.stiffness, rhs, preconditioner=handle, tol=1e-18,
+                       max_iter=300)
+    assert not result.converged
+    assert result.iterations == 300
+    want = _true_residual(system, rhs, result.x)
+    assert result.relative_residual == pytest.approx(want, rel=1e-12)
+    assert result.relative_residual > 1e-18
+    assert len(result.residual_history) == 300
+    assert result.residual_history[-1] == result.relative_residual
+
+
+class _AlwaysRefined:
+    """A preconditioner that ignores refine=False and refines every solve."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def solve(self, rhs, *, refine=True):
+        return self.handle.solve(rhs, refine=True)
+
+
+def test_unrefined_preconditioner_keeps_iterations():
+    system, rhs, handle = _jump_cube_problem(4)
+    lean = pcg_solve(system.stiffness, rhs, preconditioner=handle, tol=1e-10)
+    refined = pcg_solve(system.stiffness, rhs,
+                        preconditioner=_AlwaysRefined(handle), tol=1e-10)
+    assert lean.converged and refined.converged
+    assert lean.iterations == refined.iterations
+    assert (np.linalg.norm(lean.x - refined.x)
+            <= 1e-12 * np.linalg.norm(refined.x))
