@@ -142,6 +142,8 @@ class SparseSymmetricMatrix:
                 raise MeshFormatError(f"entry indices out of range in {raw!r}", line=ln)
             if not np.isfinite(v):
                 raise MeshFormatError(f"non-finite entry value in {raw!r}", line=ln)
+            if (i, j) in upper:
+                raise MeshFormatError(f"duplicate entry {i + 1} {j + 1}", line=ln)
             upper[(i, j)] = v
         return cls(n, upper)
 

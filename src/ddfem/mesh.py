@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import io
+import warnings
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -156,156 +157,113 @@ def save_mesh(mesh: Mesh, target) -> None:
         target.write(text)
 
 
-# Lines of one record kind split and checked at a time: this bounds the
-# number of token strings alive at once, and with it the reader's memory.
-_BLOCK = 512
+def _int_array(values) -> np.ndarray:
+    """``values`` as int64, or as Python ints where one lies beyond int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        # An integer beyond int64 is kept as is; no range check accepts it.
+        return np.array(values, dtype=object)
 
 
-@dataclass
-class _Records:
-    """A block of one record kind's lines, cut at its first problem.
+def _read_lines(lines: list, d: int, l: int) -> tuple:
+    """The records after the header, read one line at a time.
 
-    Checks run in the order the format defines them for a single line.  A
-    check that fails keeps only the rows before its first failing row, so
-    every later check sees only rows that passed all earlier ones, and the
-    last problem recorded is the block's first bad line in file order.
+    This loop defines the format: tokens are ``str.split`` fields, numbers
+    are Python ``int()`` and ``float()``, and the first bad line in file
+    order raises MeshFormatError.  Returns, in file order, the node indices,
+    coordinates and Dirichlet flags, the element indices and node lists, and
+    the theta element indices and values.
     """
-
-    lines: np.ndarray   # 1-based line number of each row
-    rows: list          # the tokens of each row
-    problem: tuple | None = None
-
-    @classmethod
-    def select(cls, lines: list, at: np.ndarray, kind: str) -> "_Records":
-        """The lines at the 0-based positions ``at``, split into tokens.
-
-        They were routed to ``kind`` by their first character; one whose
-        first token is not ``kind`` is an unknown record.
-        """
-        rec = cls(at + 1, [lines[i].split() for i in at.tolist()])
-        rec.check([row[0] != kind for row in rec.rows],
-                  lambda i: f"unknown record {rec.rows[i][0]!r}")
-        return rec
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def cut(self, row: int, message: str) -> None:
-        self.problem = (int(self.lines[row]), message)
-        self.lines = self.lines[:row]
-        del self.rows[row:]
-
-    def check(self, bad, message) -> None:
-        """Cut at the first row where ``bad`` holds; ``message(row)`` says why."""
-        bad = np.asarray(bad, dtype=bool)
-        if bad.any():
-            row = int(np.argmax(bad))
-            self.cut(row, message(row))
-
-    def convert(self, conv, first: int, stop: int) -> np.ndarray:
-        """``conv`` of the tokens ``first:stop`` of every row, shape (rows, stop-first).
-
-        The first token ``conv`` rejects (in file order) cuts the rows there,
-        with ``conv``'s own message.
-        """
-        width = stop - first
-        flat = [tok for row in self.rows for tok in row[first:stop]]
-        if conv is int and _plain_digits(flat):
-            values = np.fromstring(" ".join(flat), dtype=np.int64, sep=" ")
-            return values.reshape(len(self.rows), width)
+    node_rows: dict[int, list] = {}     # coordinates, then the flag
+    elem_rows: dict[int, list[int]] = {}
+    theta_rows: dict[int, float] = {}
+    for ln, raw in enumerate(lines[1:], start=2):
+        tok = raw.split()
+        if not tok or tok[0].startswith("#"):
+            continue
+        kind = tok[0]
         try:
-            values = list(map(conv, flat))
-        except ValueError:
-            values = []
-            for tok in flat:
-                try:
-                    values.append(conv(tok))
-                except ValueError as exc:
-                    row = len(values) // width
-                    self.cut(row, str(exc))
-                    del values[row * width:]
-                    break
-        try:
-            out = np.array(values, dtype=np.int64 if conv is int else float)
-        except OverflowError:
-            # An integer beyond int64 is kept as is; no range check accepts it.
-            out = np.array(values, dtype=object)
-        return out.reshape(len(self.rows), width)
+            if kind == "node":
+                if len(tok) != 3 + d:
+                    raise ValueError(f"node line needs {3 + d} fields, got {len(tok)}")
+                idx = int(tok[1])
+                coords = [float(v) for v in tok[2:2 + d]]
+                if not np.all(np.isfinite(coords)):
+                    raise ValueError(f"node {idx} has a non-finite coordinate")
+                flag = int(tok[2 + d])
+                if flag not in (0, 1):
+                    raise ValueError(f"dirichlet flag must be 0 or 1, got {flag}")
+                if idx in node_rows:
+                    raise ValueError(f"duplicate node index {idx}")
+                node_rows[idx] = coords + [flag]
+            elif kind == "elem":
+                if len(tok) != 2 + l:
+                    raise ValueError(f"elem line needs {2 + l} fields, got {len(tok)}")
+                idx = int(tok[1])
+                if idx in elem_rows:
+                    raise ValueError(f"duplicate element index {idx}")
+                elem_rows[idx] = [int(v) for v in tok[2:]]
+            elif kind == "theta":
+                if len(tok) != 4 or tok[1] != "elem":
+                    raise ValueError("theta line must read 'theta elem <t> <value>'")
+                value = float(tok[3])
+                if not np.isfinite(value):
+                    raise ValueError(f"theta value {tok[3]!r} is not finite")
+                idx = int(tok[2])
+                if idx in theta_rows:
+                    raise ValueError(f"duplicate theta record for element {idx}")
+                theta_rows[idx] = value
+            else:
+                raise ValueError(f"unknown record {kind!r}")
+        except ValueError as exc:
+            raise MeshFormatError(str(exc), line=ln) from None
+    nodes = np.array(list(node_rows.values()), dtype=float).reshape(-1, d + 1)
+    return (_int_array(list(node_rows)), nodes[:, :d], nodes[:, d] == 1,
+            _int_array(list(elem_rows)),
+            _int_array(list(elem_rows.values())).reshape(-1, l),
+            _int_array(list(theta_rows)),
+            np.array(list(theta_rows.values()), dtype=float))
 
 
-def _plain_digits(tokens: list) -> bool:
-    """Whether every token is 1 to 18 ASCII digits, which int64 holds exactly."""
-    joined = "".join(tokens)
-    return (joined.isascii() and joined.isdigit()
-            and max(map(len, tokens)) <= 18)
+def _loadtxt(lines: list, words: tuple, fields: list) -> np.ndarray:
+    """Rows of ``words``, a distinct index, then ``fields``; raises otherwise."""
+    dtype = [(word, object) for word in words] + [("idx", np.int64)] + fields
+    if not lines:
+        return np.zeros(0, dtype=dtype)
+    # Raise any warning: some NumPy releases truncate "4.0" in an int field.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    if any((rows[word] != word).any() for word in words) or (
+            len(np.unique(rows["idx"])) < len(rows)):
+        raise ValueError("a keyword differs or an index repeats")
+    return rows
 
 
-def _repeats(idx: np.ndarray, seen: set) -> np.ndarray:
-    """True at every entry whose value is in ``seen`` or appeared earlier in ``idx``."""
-    repeat = np.ones(len(idx), dtype=bool)
-    repeat[np.unique(idx, return_index=True)[1]] = False
-    if seen:
-        repeat |= np.fromiter((v in seen for v in idx.tolist()), dtype=bool,
-                              count=len(idx))
-    return repeat
+def _read_arrays(lines: list, d: int, l: int) -> tuple | None:
+    """What ``_read_lines`` returns, read in whole columns, or None.
 
-
-def _parse_blocks(parse, lines: list, heads: np.ndarray, kind: str, *args):
-    """Run ``parse`` over the lines of one record kind, a block at a time.
-
-    Blocks go in file order and stop after the first one with a problem, so
-    that problem is the kind's first bad line.  ``parse(rec, seen, *args)``
-    returns a tuple of arrays, and adds the indices it accepted to ``seen``
-    (the set later blocks check repeats against).  Returns the problem (or
-    None) and each returned array concatenated over the blocks.
+    Lines are routed by their first non-blank character to one ``np.loadtxt``
+    call per record kind; its structured dtype rejects a wrong field count.
+    loadtxt reads a subset of Python's numbers (no ``1_0``, no non-ASCII
+    digits, no integer beyond int64), so None, returned for any line it cannot
+    read or ``_read_lines`` would reject, leaves the decision to ``_read_lines``.
     """
-    at = np.flatnonzero(heads == kind[0])
-    seen: set = set()
-    parts = []
-    for start in range(0, max(len(at), 1), _BLOCK):
-        rec = _Records.select(lines, at[start:start + _BLOCK], kind)
-        parts.append(parse(rec, seen, *args))
-        if rec.problem:
-            break
-    return rec.problem, [np.concatenate(column) for column in zip(*parts)]
-
-
-def _parse_nodes(rec: _Records, seen: set, d: int):
-    rec.check([len(r) != 3 + d for r in rec.rows],
-              lambda i: f"node line needs {3 + d} fields, got {len(rec.rows[i])}")
-    idx = rec.convert(int, 1, 2)[:, 0]
-    coords = rec.convert(float, 2, 2 + d)
-    rec.check(~np.isfinite(coords).all(axis=1),
-              lambda i: f"node {idx[i]} has a non-finite coordinate")
-    flags = rec.convert(int, 2 + d, 3 + d)[:, 0]
-    rec.check((flags != 0) & (flags != 1),
-              lambda i: f"dirichlet flag must be 0 or 1, got {flags[i]}")
-    idx = idx[:len(rec)]
-    rec.check(_repeats(idx, seen), lambda i: f"duplicate node index {idx[i]}")
-    n = len(rec)
-    seen.update(idx[:n].tolist())
-    return idx[:n], coords[:n], flags[:n].astype(bool)
-
-
-def _parse_elements(rec: _Records, seen: set, l: int):
-    rec.check([len(r) != 2 + l for r in rec.rows],
-              lambda i: f"elem line needs {2 + l} fields, got {len(rec.rows[i])}")
-    idx = rec.convert(int, 1, 2)[:, 0]
-    rec.check(_repeats(idx, seen), lambda i: f"duplicate element index {idx[i]}")
-    nodes = rec.convert(int, 2, 2 + l)
-    idx = idx[:len(rec)]
-    seen.update(idx.tolist())
-    return idx, nodes
-
-
-def _parse_theta(rec: _Records, seen: set):
-    rec.check([len(r) != 4 or r[1] != "elem" for r in rec.rows],
-              lambda i: "theta line must read 'theta elem <t> <value>'")
-    values = rec.convert(float, 3, 4)[:, 0]
-    rec.check(~np.isfinite(values),
-              lambda i: f"theta value {rec.rows[i][3]!r} is not finite")
-    idx = rec.convert(int, 2, 3)[:, 0]
-    return idx, values[:len(rec)]
+    kinds = {"": [], "#": [], "n": [], "e": [], "t": []}
+    try:
+        for raw in lines[1:]:
+            kinds[raw.lstrip()[:1]].append(raw)
+        nodes = _loadtxt(kinds["n"], ("node",), [("x", float, (d,)), ("flag", np.int64)])
+        elems = _loadtxt(kinds["e"], ("elem",), [("nodes", np.int64, (l,))])
+        theta = _loadtxt(kinds["t"], ("theta", "elem"), [("value", float)])
+    except (KeyError, ValueError, Warning):
+        return None
+    if not (np.isfinite(nodes["x"]).all() and np.isfinite(theta["value"]).all()
+            and np.isin(nodes["flag"], (0, 1)).all()):
+        return None
+    return (nodes["idx"], nodes["x"], nodes["flag"].astype(bool), elems["idx"],
+            elems["nodes"], theta["idx"], theta["value"])
 
 
 def _is_one_to(idx: np.ndarray, count: int) -> bool:
@@ -316,10 +274,9 @@ def _is_one_to(idx: np.ndarray, count: int) -> bool:
 def load_mesh(source) -> Mesh:
     """Parse a mesh from a path, text, bytes, or file-like object.
 
-    Each record kind is converted array-at-once; every rejection names the
-    first bad line in file order.  Node numbering is normalized (Dirichlet
-    last) after parsing; the applied permutation, if any, is recorded on the
-    mesh.
+    Every rejection names the first bad line in file order.  Node numbering
+    is normalized (Dirichlet last) after parsing; the applied permutation, if
+    any, is recorded on the mesh.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         with open(source, "r", encoding="utf-8") as fh:
@@ -346,23 +303,9 @@ def load_mesh(source) -> Mesh:
     if d not in (2, 3) or p not in (1, 2):
         raise MeshFormatError(f"unsupported d={d} p={p}", line=1)
 
-    # Each line's first character routes it to its record kind, whose lines
-    # are then split and checked one kind at a time.
-    heads = np.array([raw.lstrip()[:1] for raw in lines])
-    heads[0] = ""                                   # the header
-    other = np.flatnonzero(~np.isin(heads, ["", "#", "n", "e", "t"]))
-    problems = [(int(i) + 1, f"unknown record {lines[i].split()[0]!r}")
-                for i in other[:1]]
-    node_problem, (node_idx, coords, flags) = _parse_blocks(
-        _parse_nodes, lines, heads, "node", d)
-    elem_problem, (elem_idx, elem_nodes) = _parse_blocks(
-        _parse_elements, lines, heads, "elem", node_count(d, p))
-    theta_problem, (theta_idx, theta_values) = _parse_blocks(
-        _parse_theta, lines, heads, "theta")
-    problems += [pr for pr in (node_problem, elem_problem, theta_problem) if pr]
-    if problems:
-        ln, message = min(problems)
-        raise MeshFormatError(message, line=ln)
+    l = node_count(d, p)
+    node_idx, coords, flags, elem_idx, elem_nodes, theta_idx, theta_values = (
+        _read_arrays(lines, d, l) or _read_lines(lines, d, l))
 
     n_nodes = len(node_idx)
     if n_nodes == 0:
@@ -381,10 +324,7 @@ def load_mesh(source) -> Mesh:
     if len(theta_idx):
         if not _is_one_to(theta_idx, m):
             raise MeshFormatError("theta lines must cover every element exactly once")
-        # A repeated theta record overrides the earlier ones: take each
-        # element's last record.
-        last = len(theta_idx) - 1 - np.unique(theta_idx[::-1], return_index=True)[1]
-        theta = theta_values[last]
+        theta = theta_values[np.argsort(theta_idx)]
 
     elements = elem_nodes[elem_order] - 1
     # Checked before renumbering, where a negative index would wrap around.

@@ -221,6 +221,14 @@ def test_matrix_text_rejects_nonfinite_entry():
     assert exc.value.line == 3
 
 
+def test_matrix_text_rejects_repeated_entry():
+    with pytest.raises(MeshFormatError, match="duplicate entry 1 2") as exc:
+        SparseSymmetricMatrix.load_text(
+            "ddfem-matrix v1 n=2 symmetric=upper\nentry 1 2 2\n"
+            "entry 2 2 1\nentry 1 2 5\n")
+    assert exc.value.line == 4
+
+
 def test_nan_determinant_raises_orientation_error():
     mesh = build_single([[0, 0], [np.nan, 0], [0, 1]])
     with pytest.raises(ElementOrientationError) as exc:

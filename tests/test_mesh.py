@@ -1,8 +1,11 @@
 import hashlib
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ddfem
 from ddfem.errors import (
@@ -11,7 +14,15 @@ from ddfem.errors import (
     MeshInvariantError,
     UnsupportedConfigError,
 )
-from ddfem.mesh import boundary_edges, mesh_to_text, normalize_numbering, validate_mesh
+from ddfem.mesh import (
+    _read_arrays,
+    _read_lines,
+    boundary_edges,
+    mesh_to_text,
+    normalize_numbering,
+    validate_mesh,
+)
+from ddfem.reference_element import node_count
 
 from conftest import ring_snap
 
@@ -248,6 +259,7 @@ def _edited(edits: dict) -> str:
     ({4: "elem 1 1 2", 6: "node 3 0 nan 0"}, 4, "elem line needs 5 fields, got 4"),
     ({3: "theta elem 1 inf", 4: "node 3 0 1 9"}, 3, "theta value 'inf' is not finite"),
     ({2: "node 1 0 0 1", 3: "node 1 1 0 1", 4: "bogus"}, 3, "duplicate node index 1"),
+    ({9: "theta elem 1 7"}, 9, "duplicate theta record for element 1"),
 ])
 def test_reader_rejections(edits, line, fragment):
     with pytest.raises(MeshFormatError) as exc:
@@ -257,8 +269,8 @@ def test_reader_rejections(edits, line, fragment):
 
 
 def _large_mesh_lines():
-    # 1681 node, 3200 element and 3200 theta lines: each record kind spans
-    # several of the reader's blocks.
+    # 1681 node, 3200 element and 3200 theta lines, so a bad line sits deep
+    # inside its record kind's column.
     mesh = ddfem.gen_structured_square(40, p=1)
     mesh = ddfem.Mesh(d=2, p=1, nodes=mesh.nodes, elements=mesh.elements,
                       dirichlet=mesh.dirichlet,
@@ -321,6 +333,111 @@ def test_reader_accepts_layout_freedom():
     for name in ("nodes", "elements", "dirichlet", "theta_elem", "permutation"):
         np.testing.assert_array_equal(getattr(got, name), getattr(clean, name))
     assert clean.permutation is not None
+
+
+def _square_p2_with_theta() -> str:
+    mesh = ddfem.gen_structured_square(1, p=2)
+    return mesh_to_text(ddfem.Mesh(d=2, p=2, nodes=mesh.nodes, elements=mesh.elements,
+                                   dirichlet=mesh.dirichlet, theta_elem=np.array([2.5, 4.0])))
+
+
+# Valid files the differential test mutates, and what it mutates them with:
+# numbers loadtxt reads differently from Python or not at all, keywords, and
+# whitespace str.split separates on.
+READER_BASES = [CONTRACT_MESH, _square_p2_with_theta()]
+READER_TOKENS = ["+3", "1_0", "\u0661", "0x1p3", "1e400", "1e-320", "-0", "1.0", "0",
+                 "9223372036854775808", "-9223372036854775809", "nan", "-inf",
+                 ".5", "5.", "#", "2", "node", "elem", "theta", "node\x00", "elem\x1f"]
+READER_SPACES = [" ", "\t", "  ", "\x1f", "\xa0", "\u2003"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_whole_column_reader_reads_a_subset(data):
+    # _read_arrays may decline any file (None), but what it returns must be
+    # bitwise what the line-by-line reader returns, and it must decline every
+    # file that reader rejects.
+    base = data.draw(st.sampled_from(READER_BASES))
+    lines = base.splitlines()
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.sampled_from(
+            [k for k in range(1, len(lines)) if lines[k].split()]))
+        tok = lines[i].split()
+        j = data.draw(st.integers(0, len(tok) - 1))
+        how = data.draw(st.sampled_from(
+            ["replace", "drop", "insert", "space", "duplicate", "blank"]))
+        if how == "replace":
+            tok[j] = data.draw(st.sampled_from(READER_TOKENS))
+        elif how == "drop":
+            del tok[j]
+        elif how == "insert":
+            tok.insert(j, data.draw(st.sampled_from(READER_TOKENS)))
+        elif how == "duplicate":
+            lines.insert(data.draw(st.integers(1, len(lines))), lines[i])
+            continue
+        elif how == "blank":
+            lines.insert(i, data.draw(st.sampled_from(READER_SPACES + ["", "# c"])))
+            continue
+        space = data.draw(st.sampled_from(READER_SPACES))
+        lines[i] = data.draw(st.sampled_from(["", space])) + space.join(tok)
+    d, p = (int(field[2:]) for field in lines[0].split()[2:])
+    try:
+        expected = _read_lines(lines, d, node_count(d, p))
+    except MeshFormatError:
+        expected = None
+    got = _read_arrays(lines, d, node_count(d, p))
+    if expected is None or got is None:
+        assert got is None
+        return
+    for a, b in zip(got, expected):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def test_python_only_number_syntax_loads_like_canonical():
+    # Underscores, non-ASCII digits and explicit signs are Python int() and
+    # float() syntax; loadtxt declines some of them, so the line-by-line
+    # reader takes this file, and it loads to the same mesh.
+    python_only = "\r\n".join([
+        "ddfem-mesh v1 d=2 p=1",
+        "# nodes",
+        "node +1 0_0 0.0e0_0 1",
+        "node \u0662 1_0e-1_0 0 \u0661",
+        "",
+        "node 3 0 1.0_0 +0",
+        "node 4 1 \u0661.\u0660 0",
+        "\t# elements",
+        "elem 1 1 2 \u0664",
+        "elem 2 01 4 3",
+        "theta elem 1 2.5_0",
+        "theta elem 2 4",
+    ]) + "\r\n"
+    canonical = _edited({3: "node 2 1e-9 0 1"})
+    lines = python_only.splitlines()
+    assert _read_arrays(lines, 2, 3) is None
+    assert _read_arrays(canonical.splitlines(), 2, 3) is not None
+    clean = ddfem.load_mesh(io.StringIO(canonical))
+    got = ddfem.load_mesh(io.StringIO(python_only))
+    for name in ("nodes", "elements", "dirichlet", "theta_elem", "permutation"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(clean, name))
+
+
+@pytest.mark.parametrize("edits", [
+    {4: "node 3.0 0 1 0"},
+    {4: "node 3 0 1 1.0"},
+    {6: "elem 1 1 2 4.0"},
+    {9: "theta elem 2.5 4"},
+])
+def test_whole_column_reader_declines_float_integers_whatever_the_filters(edits):
+    # Some NumPy releases read "4.0" in an integer field by truncating a float
+    # and only warn, which default filters hide; the file must still go to
+    # the line-by-line reader, which rejects it.
+    lines = _edited(edits).splitlines()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert _read_arrays(lines, 2, 3) is None
+    with pytest.raises(MeshFormatError):
+        _read_lines(lines, 2, 3)
 
 
 @pytest.mark.parametrize("index", ["0", "-1", "5", "100000000000000000000"])
