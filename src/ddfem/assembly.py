@@ -198,14 +198,14 @@ def element_geometry(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
     d = mesh.d
     coords = mesh.nodes[mesh.elements]                       # (m, l, d)
     # J[t, k] = coords[t]^T grads[k]
-    jac = np.einsum("tla,klb->tkab", coords, grads)          # (m, q, d, d)
+    jac = coords.swapaxes(1, 2)[:, None] @ grads             # (m, q, d, d)
     dets = _det_small(jac)
     scale = np.abs(jac).max(axis=(-2, -1))
     bad = ~(dets > DEGENERACY_RTOL * scale ** d)
     if bad.any():
         t, k = np.argwhere(bad)[0]
         raise ElementOrientationError(int(t), int(k), float(dets[t, k]))
-    points = np.einsum("tla,kl->tka", coords, vals)          # (m, q, d)
+    points = vals @ coords                                   # (m, q, d)
     theta_vals = eval_conductivity(theta, points,
                                    element=np.arange(mesh.n_elements)[:, None])
     return ElementGeometry(jacobians=jac,

@@ -259,7 +259,7 @@ def _report_dict(system, bundle) -> dict:
     qual = bundle.quality
     return {
         "m": system.mesh.n_elements,
-        "n": system.stiffness.n,
+        "n": system.mesh.n_free,
         "kappa1": qual.kappa1,
         "kappa2": qual.kappa2,
         "chi1": bundle.chi.max_chi1,
@@ -361,15 +361,18 @@ def _cmd_solve(cfg) -> int:
     theta = _resolve_theta(cfg, mesh)
     rule = _resolve_rule(cfg, mesh)
     system = pipeline.build_system(mesh, theta, rule)
+    # K is assembled before Kbar is factored, so its assembly temporaries
+    # are freed before the LU factor is allocated.
+    stiffness = system.stiffness
     kbar = pipeline.kbar_for_solve(system)
     rhs = assemble_load(mesh, system.ref, rule, theta, _resolve_source(cfg),
                         geometries=system.geometries,
                         element_k=system.element_stiffness)
     handle = factor_kbar(kbar)
-    pre = pcg_solve(system.stiffness, rhs, preconditioner=handle, tol=tol,
+    pre = pcg_solve(stiffness, rhs, preconditioner=handle, tol=tol,
                     max_iter=max_iter)
 
-    lines = [f"ddfem-solution v1 n={system.stiffness.n}"]
+    lines = [f"ddfem-solution v1 n={stiffness.n}"]
     lines += [f"x {i + 1} {_fmt17(v)}" for i, v in enumerate(pre.x)]
     lines += [
         f"iterations preconditioned {pre.iterations}",

@@ -12,6 +12,8 @@ chi3 = theta_hat * kappa1^2 * kappa2 * (M_q sigma^2) / (m_q tau^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -45,12 +47,23 @@ class HBlocks:
         return float(self.kappa_per_element.max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DDApproximation:
+    """Dbar, the H blocks and chi3; ``kbar`` is assembled on first use.
+
+    ``incidence`` returns the star incidence that ``kbar`` is built on; it
+    is called only then, so the quality numbers need no incidence and no
+    Kbar.
+    """
+
     dbar: DbarBlocks
-    kbar: SparseSymmetricMatrix
     h_blocks: HBlocks
     chi3_bound: float
+    incidence: Callable[[], IncidenceMatrix]
+
+    @cached_property
+    def kbar(self) -> SparseSymmetricMatrix:
+        return build_kbar(self.incidence(), self.dbar)
 
 
 def build_dbar(alpha: np.ndarray, geometries: ElementGeometry,
@@ -124,13 +137,13 @@ def refactorization_residuals(factors: ElementFactors,
                               factors.gram())
 
 
-def build_dd_approximation(incidence: IncidenceMatrix, factors, geometries,
-                           rule: QuadratureRule,
+def build_dd_approximation(incidence: Callable[[], IncidenceMatrix], factors,
+                           geometries, rule: QuadratureRule,
                            quality: QualityReport) -> DDApproximation:
     dbar = build_dbar(factors.alpha, geometries, rule)
     return DDApproximation(
         dbar=dbar,
-        kbar=build_kbar(incidence, dbar),
         h_blocks=build_h_blocks(factors, dbar),
         chi3_bound=chi3_bound(quality),
+        incidence=incidence,
     )

@@ -60,11 +60,13 @@ class ElementFactors:
     between the two, so j^T diag(d_diag) j reproduces the element stiffness on
     arc differences.  alpha is the worst inverse-Jacobian 2-norm over the
     Gauss points (maximum compression), beta the worst Jacobian 2-norm
-    (maximum stretch).  Both are square roots of the largest eigenvalue of a
-    d x d Gram block (see ``element_alpha`` and ``build_all_factors``): the
-    largest eigenvalue of a symmetric matrix is accurate to roundoff relative
-    to itself, so neither norm is taken from a smallest eigenvalue, which
-    would square the block's condition number.
+    (maximum stretch).  Both are largest singular values, accurate to roundoff
+    relative to themselves (see ``_largest_norm``): in 2D the closed form
+    (hypot(a + e, b - c) + hypot(a - e, b + c)) / 2 of a block
+    [[a, b], [c, e]], in 3D the square root of the largest eigenvalue of the
+    3 x 3 Gram block.  Neither norm is taken from a smallest eigenvalue or
+    singular value, which would lose a factor of the block's condition
+    number.
     """
 
     alpha: np.ndarray       # (m,)
@@ -120,7 +122,19 @@ def save_incidence(inc: IncidenceMatrix, target) -> None:
 
 
 def _largest_norm(blocks: np.ndarray) -> np.ndarray:
-    """Worst 2-norm over the Gauss points of an (m, q, d, d) stack: (m,)."""
+    """Worst 2-norm over the Gauss points of an (m, q, d, d) stack: (m,).
+
+    A 2 x 2 block [[a, b], [c, e]] has largest singular value
+    (hypot(a + e, b - c) + hypot(a - e, b + c)) / 2, taken without a Gram
+    matrix or LAPACK: both terms are nonnegative and each is off by a few
+    ulps of the largest entry, which is at most the norm, so the result is
+    accurate to roundoff relative to itself.  A 3 x 3 block takes the square
+    root of the largest eigenvalue of its Gram matrix.
+    """
+    if blocks.shape[-1] == 2:
+        a, b = blocks[..., 0, 0], blocks[..., 0, 1]
+        c, e = blocks[..., 1, 0], blocks[..., 1, 1]
+        return (0.5 * (np.hypot(a + e, b - c) + np.hypot(a - e, b + c))).max(axis=1)
     gram = blocks.swapaxes(-1, -2) @ blocks
     return np.sqrt(np.linalg.eigvalsh(gram)[..., -1].max(axis=1))
 
@@ -138,8 +152,8 @@ def build_all_factors(geometries: ElementGeometry, alpha: np.ndarray,
     """Assemble the middle factors of every element around the given alpha.
 
     ``alpha`` is ``element_alpha(geometries)``; beta, the worst ||J||_2, is
-    the square root of the largest eigenvalue of J^T J, never
-    1/sqrt(lambda_min) of the inverse Gram block.
+    the largest singular value of J (``_largest_norm``), never
+    1/sigma_min of the inverse transpose.
     """
     m, q, d, _ = geometries.jacobians.shape
     beta = _largest_norm(geometries.jacobians)

@@ -24,9 +24,11 @@ from .reference_element import ReferenceElement, SqpMatrix, build_sqp, make_refe
 class AssembledSystem:
     """Everything derived from one (mesh, conductivity, rule) triple.
 
-    ``alpha`` is computed up front because ``Kbar`` needs it; the full
-    ``factors`` (beta, the weights and the j stack) are built on first use,
-    so a solve never builds them.
+    The geometry, the element matrices and ``alpha`` (which ``Kbar`` needs)
+    are computed up front.  The reduced ``stiffness`` K, the star
+    ``incidence`` and the full ``factors`` (beta, the weights and the j
+    stack) are built on first use: a solve never builds the factors, and a
+    report builds neither K nor the incidence.
     """
 
     mesh: Mesh
@@ -36,9 +38,16 @@ class AssembledSystem:
     sqp: SqpMatrix
     geometries: assembly.ElementGeometry
     element_stiffness: np.ndarray    # (m, l, l) dense element matrices
-    stiffness: SparseSymmetricMatrix  # reduced, n x n
-    incidence: factorization.IncidenceMatrix
     alpha: np.ndarray                # (m,) max compression per element
+
+    @cached_property
+    def stiffness(self) -> SparseSymmetricMatrix:
+        """The reduced n x n stiffness matrix K."""
+        return assembly.assemble_global(self.mesh, self.element_stiffness)
+
+    @cached_property
+    def incidence(self) -> factorization.IncidenceMatrix:
+        return factorization.build_incidence(self.mesh)
 
     @cached_property
     def factors(self) -> factorization.ElementFactors:
@@ -48,7 +57,7 @@ class AssembledSystem:
 
 def build_system(mesh: Mesh, theta: ConductivityField | None = None,
                  rule: QuadratureRule | None = None) -> AssembledSystem:
-    """Assemble the stiffness matrix and all factor data for a mesh."""
+    """Geometry, element matrices and alpha of a mesh; K and the rest on first use."""
     if theta is None:
         theta = conductivity_from_mesh(mesh)
     if rule is None:
@@ -61,8 +70,6 @@ def build_system(mesh: Mesh, theta: ConductivityField | None = None,
     return AssembledSystem(
         mesh=mesh, ref=ref, rule=rule, theta=theta, sqp=sqp,
         geometries=geometries, element_stiffness=element_k,
-        stiffness=assembly.assemble_global(mesh, element_k),
-        incidence=factorization.build_incidence(mesh),
         alpha=factorization.element_alpha(geometries),
     )
 
@@ -80,14 +87,16 @@ def _quality_and_dd(system: AssembledSystem):
     qual = quality.compute_quality(system.geometries, system.factors,
                                    system.rule, system.sqp)
     return qual, dd_approx.build_dd_approximation(
-        system.incidence, system.factors, system.geometries, system.rule, qual)
+        lambda: system.incidence, system.factors, system.geometries,
+        system.rule, qual)
 
 
 def kbar_for_solve(system: AssembledSystem) -> SparseSymmetricMatrix:
     """Kbar alone, from the Dbar scalars and the star incidence.
 
-    This is the matrix ``approximate`` puts in ``dd.kbar``, without the
-    quality report, H blocks or chi chain that the solver never reads.
+    This is the matrix ``approximate(system).dd.kbar`` builds on first use,
+    without the quality report, H blocks or chi chain that the solver never
+    reads.
     """
     dbar = dd_approx.build_dbar(system.alpha, system.geometries, system.rule)
     return dd_approx.build_kbar(system.incidence, dbar)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -93,6 +94,23 @@ def test_report_deterministic(tmp_path, capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_report_assembles_neither_k_nor_kbar(capsys, monkeypatch):
+    # The report's numbers come from element data alone.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("report must not assemble K or Kbar")
+
+    originals = (ddfem.assembly.assemble_global, dd_approx.build_kbar)
+    for module in [m for name, m in sys.modules.items()
+                   if name == "ddfem" or name.startswith("ddfem.")]:
+        for attr, value in list(vars(module).items()):
+            if any(value is fn for fn in originals):
+                monkeypatch.setattr(module, attr, forbidden)
+    code, js, _ = run(capsys, "report", "--kind", "square", "--k", "4",
+                      "--p", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(js)["n"] == ddfem.gen_structured_square(4, p=2).n_free
 
 
 def test_verify_healthy_mesh(capsys):

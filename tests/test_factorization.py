@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import ddfem
 from ddfem.factorization import (
+    _largest_norm,
     element_j_singular_values,
     local_incidence,
     save_incidence,
@@ -112,17 +113,23 @@ def test_sliver_blows_up_alpha_beta():
 
 
 def _largest_norm_reference(blocks):
-    """Worst 2-norm over Gauss points of 2x2 blocks, closed form in long double."""
+    """Worst 2-norm over Gauss points of 2x2 blocks, closed form in long double.
+
+    The Gram block's largest eigenvalue is (tr + sqrt(tr^2 - 4 det)) / 2; the
+    discriminant is taken as (g00 - g11)^2 + (g01 + g10)^2, a sum of squares,
+    because tr^2 - 4 det cancels when the two singular values are close.
+    """
     a = blocks.astype(np.longdouble)
     gram = np.swapaxes(a, -1, -2) @ a
     tr = gram[..., 0, 0] + gram[..., 1, 1]
-    det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 1, 0]
-    return np.sqrt((tr + np.sqrt(tr * tr - 4 * det)) / 2).max(axis=1)
+    disc = np.hypot(gram[..., 0, 0] - gram[..., 1, 1],
+                    gram[..., 0, 1] + gram[..., 1, 0])
+    return np.sqrt((tr + disc) / 2).max(axis=1)
 
 
 def test_alpha_beta_accurate_on_slivers():
-    # Both norms are square roots of the largest eigenvalue of a Gram block,
-    # accurate to roundoff.  beta taken as 1/sigma_min of the inverse
+    # Both norms are largest singular values, accurate to roundoff relative
+    # to themselves.  beta taken as 1/sigma_min of the inverse
     # transpose would lose a factor of the element's condition (1e5 here).
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-5], [0.3, 0.7]])
     mesh = ddfem.Mesh(d=2, p=1, nodes=nodes, elements=np.array([[0, 1, 2], [0, 1, 3]]),
@@ -134,6 +141,32 @@ def test_alpha_beta_accurate_on_slivers():
         want = _largest_norm_reference(blocks)
         assert np.all(np.abs(got - want) <= 2e-15 * want)
     np.testing.assert_array_equal(system.alpha, system.factors.alpha)
+
+
+def _rotation(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+_BLOCK = st.tuples(st.floats(0, 2 * np.pi), st.floats(0, 2 * np.pi),
+                   st.floats(-8, 8), st.floats(0, 8), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.integers(1, 7), data=st.data())
+def test_largest_norm_2x2_closed_form_matches_reference(q, data):
+    # Each block is rotation . diag(s1, +-s2) . rotation with s1 = 10**scale
+    # and s1 / s2 = 10**aspect, so stacks reach aspect ratios of 1e8 at
+    # scales from 1e-8 to 1e8, and determinants of either sign.
+    groups = data.draw(st.lists(st.lists(_BLOCK, min_size=q, max_size=q),
+                                min_size=1, max_size=6))
+    blocks = np.array([[_rotation(t1) @ np.diag([10.0 ** s, (1 if pos else -1)
+                                                 * 10.0 ** (s - a)])
+                        @ _rotation(t2)
+                        for t1, t2, s, a, pos in group] for group in groups])
+    got = _largest_norm(blocks)
+    want = _largest_norm_reference(blocks)
+    assert np.all(np.abs(got - want.astype(float)) <= 2e-15 * want)
 
 
 def meshes_for_identity():

@@ -150,7 +150,7 @@ def test_midpoint_dirichlet_inheritance_3d():
     lambda: ddfem.insert_midpoints(ddfem.gen_structured_square(1, p=1,
                                                                dirichlet="none")),
     lambda: ddfem.gen_structured_cube(2, p=2),
-    lambda: ddfem.gen_structured_square(40, p=1),   # several reader blocks
+    lambda: ddfem.gen_structured_square(40, p=1),
 ])
 def test_roundtrip_identity(maker):
     mesh = maker()
