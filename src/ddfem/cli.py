@@ -312,8 +312,7 @@ def _cmd_approx(cfg) -> int:
     mesh = _resolve_mesh(cfg)
     system = pipeline.build_system(mesh, _resolve_theta(cfg, mesh),
                                    _resolve_rule(cfg, mesh))
-    bundle = pipeline.approximate(system)
-    bundle.dd.kbar.save_text(cfg["out"])
+    pipeline.kbar_for_solve(system).save_text(cfg["out"])
     return EXIT_OK
 
 

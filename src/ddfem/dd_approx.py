@@ -7,6 +7,11 @@ restricted by Dirichlet deletion.  The leftover middle matrix H measures the
 loss: its condition number bounds the generalized condition number of the
 pair, and is itself bounded by the purely mesh/rule-dependent quantity
 chi3 = theta_hat * kappa1^2 * kappa2 * (M_q sigma^2) / (m_q tau^2).
+
+The spectral extremes of every H block come from one batched ``eigvalsh``
+of the Gram stack H itself, which the refactorization check reads as well;
+only blocks too ill-conditioned for the Gram route go through an SVD of
+their scaled factor (see ``build_h_blocks``).
 """
 
 from __future__ import annotations
@@ -32,9 +37,22 @@ class DbarBlocks:
     g: np.ndarray        # (m,) min Jacobian determinant over Gauss points
 
 
+# A Gram block whose eigenvalue ratio exceeds this (or whose smallest
+# eigenvalue is not positive) has its spectrum recomputed by an SVD.
+GRAM_KAPPA_LIMIT = 1e4
+
+
 @dataclass(frozen=True)
 class HBlocks:
-    """Per-element normalized middle matrices and their spectral extremes."""
+    """Per-element normalized middle matrices and their spectral extremes.
+
+    ``h`` is the Gram stack of the scaled blocks.  ``sigma_max`` and
+    ``sigma_min`` are the scaled blocks' extreme singular values: square
+    roots of the extreme eigenvalues of ``h`` where its condition number is
+    at most ``GRAM_KAPPA_LIMIT``, otherwise from an SVD of the scaled block
+    (see ``build_h_blocks``).  A ``sigma_min`` of 0 marks a numerically
+    rank-deficient block, NaN a block with a non-finite entry.
+    """
 
     h: np.ndarray             # (m, l-1, l-1) dense blocks
     sigma_max: np.ndarray     # (m,) largest singular value of each scaled block
@@ -100,18 +118,42 @@ def build_h_blocks(factors: ElementFactors, dbar: DbarBlocks) -> HBlocks:
     """Normalized middle blocks: scaled j with the diagonal replacement pulled out.
 
     The scaled block for element t is diag(d)^(1/2) j / sqrt(scalar_t); its
-    Gram matrix is the element's H block.  Because the whole H is block
-    diagonal, the global condition number is the worst squared singular value
-    over all blocks divided by the best.
+    Gram matrix is the element's H block, and the squared singular values of
+    the scaled block are the eigenvalues of H.  They are read from one
+    batched ``eigvalsh`` of the H stack: an eigenvalue carries an absolute
+    error of a few epsilon times the largest, so the smallest is accurate to
+    about (l-1) * epsilon * kappa(H_t) relative.  Blocks with kappa(H_t)
+    above ``GRAM_KAPPA_LIMIT`` or a smallest eigenvalue that is not positive
+    take an SVD of the scaled block instead, so every kappa_t is within
+    about (l-1) * epsilon * 1e4 (a few 1e-12) of the SVD's.  In the worst
+    case, where every block takes the fallback, both passes run: 75 ms
+    against 50 ms for the SVD alone on 8192 random 6 x 5 blocks (2 vCPUs);
+    on well-shaped meshes no block does.
+
+    A smallest singular value at or below (d*q) * epsilon * sigma_max is
+    numerically zero and is stored as 0, and a block with a non-finite entry
+    gets NaN extremes; ``chi_report`` rejects both.  Because the whole H is
+    block diagonal, the global condition number is the worst squared
+    singular value over all blocks divided by the best.
     """
     scaled = (np.sqrt(factors.d_diag)[:, :, None] * factors.j
               / np.sqrt(dbar.scalars)[:, None, None])
     h = scaled.swapaxes(1, 2) @ scaled
-    s = np.linalg.svd(scaled, compute_uv=False)
-    smax = s.max(axis=1)
-    smin = s.min(axis=1)
-    kappa_elem = (smax / smin) ** 2
-    kappa_global = float((smax.max() / smin.min()) ** 2)
+    finite = np.isfinite(h).all(axis=(1, 2))
+    lam = np.full(h.shape[:2], np.nan)
+    # h[finite] is a copy of the whole stack; most stacks need none.
+    lam[finite] = np.linalg.eigvalsh(h if finite.all() else h[finite])
+    smax, smin = np.sqrt(lam[:, -1]), np.sqrt(np.maximum(lam[:, 0], 0.0))
+    redo = finite & ~((lam[:, 0] > 0.0)
+                      & (lam[:, -1] <= GRAM_KAPPA_LIMIT * lam[:, 0]))
+    if redo.any():
+        s = np.linalg.svd(scaled[redo], compute_uv=False)
+        rank_tol = scaled.shape[1] * np.finfo(float).eps * s[:, 0]
+        smax[redo] = s[:, 0]
+        smin[redo] = np.where(s[:, -1] > rank_tol, s[:, -1], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa_elem = (smax / smin) ** 2
+        kappa_global = float((smax.max() / smin.min()) ** 2)
     return HBlocks(h=h, sigma_max=smax, sigma_min=smin,
                    kappa_per_element=kappa_elem, kappa_global=kappa_global)
 

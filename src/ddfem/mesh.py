@@ -227,8 +227,13 @@ def _read_lines(lines: list, d: int, l: int) -> tuple:
 
 
 def _loadtxt(lines: list, words: tuple, fields: list) -> np.ndarray:
-    """Rows of ``words``, a distinct index, then ``fields``; raises otherwise."""
-    dtype = [(word, object) for word in words] + [("idx", np.int64)] + fields
+    """Rows of ``words``, a distinct index, then ``fields``; raises otherwise.
+
+    Each keyword is read into a fixed-width field one character longer than
+    the word, so a longer token (``nodes``) still differs from it.
+    """
+    dtype = ([(word, f"U{len(word) + 1}") for word in words] + [("idx", np.int64)]
+             + fields)
     if not lines:
         return np.zeros(0, dtype=dtype)
     # Raise any warning: some NumPy releases truncate "4.0" in an int field.
@@ -249,7 +254,11 @@ def _read_arrays(lines: list, d: int, l: int) -> tuple | None:
     loadtxt reads a subset of Python's numbers (no ``1_0``, no non-ASCII
     digits, no integer beyond int64), so None, returned for any line it cannot
     read or ``_read_lines`` would reject, leaves the decision to ``_read_lines``.
+    A text with a NUL character is one of them: NumPy strips trailing NULs
+    from a string field, so ``node`` followed by a NUL would read as ``node``.
     """
+    if "\x00" in "".join(lines):
+        return None
     kinds = {"": [], "#": [], "n": [], "e": [], "t": []}
     try:
         for raw in lines[1:]:

@@ -95,8 +95,8 @@ def kbar_for_solve(system: AssembledSystem) -> SparseSymmetricMatrix:
     """Kbar alone, from the Dbar scalars and the star incidence.
 
     This is the matrix ``approximate(system).dd.kbar`` builds on first use,
-    without the quality report, H blocks or chi chain that the solver never
-    reads.
+    without the quality report, H blocks or chi chain that ``solve`` and
+    ``approx`` never read.
     """
     dbar = dd_approx.build_dbar(system.alpha, system.geometries, system.rule)
     return dd_approx.build_kbar(system.incidence, dbar)

@@ -131,6 +131,23 @@ def loop_element_stiffness(inv_t, dets, theta, weights, grads):
     return out
 
 
+def transpose_matmul_stiffness(inv_t, dets, theta, weights, grads):
+    """Stacked element matrices as weighted physical gradients times their transpose.
+
+    ``inv_t`` (m, q, d, d), ``dets`` and ``theta`` (m, q), ``weights`` (q,)
+    and ``grads`` (q, l, d).  Each element's physical gradients at all Gauss
+    points form an (l, q*d) matrix P, and K_t = (P diag(w)) P^T, averaged
+    with its transpose.
+    """
+    phys = grads @ inv_t.swapaxes(-1, -2)                    # (m, q, l, d)
+    w = weights * theta * dets                               # (m, q)
+    m, q, l, d = phys.shape
+    right = phys.transpose(0, 2, 1, 3).reshape(m, l, q * d)
+    left = (w[:, :, None, None] * phys).transpose(0, 2, 1, 3).reshape(m, l, q * d)
+    out = left @ right.swapaxes(1, 2)
+    return 0.5 * (out + out.swapaxes(1, 2))
+
+
 def loop_alpha_beta(jac, inv_t):
     """Worst inverse-Jacobian and Jacobian 2-norms over the Gauss points."""
     alpha = max(np.linalg.norm(g, 2) for g in inv_t)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -7,7 +8,7 @@ import ddfem
 from ddfem.assembly import SparseSymmetricMatrix, reference_tables
 from ddfem.errors import ElementOrientationError, MeshFormatError, UnsupportedConfigError
 
-from oracles import exact_p1_element_stiffness
+from oracles import exact_p1_element_stiffness, transpose_matmul_stiffness
 
 UNIT_TRIANGLE_K = np.array([
     [1.0, -0.5, -0.5],
@@ -113,6 +114,40 @@ def test_element_row_sums_symmetry_psd(maker, p):
         assert np.abs(kt @ np.ones(len(kt))).max() <= 1e-12 * scale
         np.testing.assert_array_equal(kt, kt.T)
         assert np.linalg.eigvalsh(kt)[0] >= -1e-10 * scale
+
+
+def _moved_mesh(d, p, rng):
+    """Jittered structured mesh; at p = 2 every mid-edge node leaves its edge's midpoint."""
+    gen = ddfem.gen_structured_square if d == 2 else ddfem.gen_structured_cube
+    mesh = gen(3, p=p, dirichlet="none")
+    nodes = mesh.nodes + 0.02 * rng.uniform(-1.0, 1.0, mesh.nodes.shape)
+    if p == 2:
+        ref_nodes = ddfem.make_reference(d, 2).ref_nodes
+        corner = np.isin(ref_nodes, (0.0, 1.0)).all(axis=1)
+        mid = np.unique(mesh.elements[:, ~corner])
+        nodes[mid] += 0.02 * rng.uniform(-1.0, 1.0, (len(mid), d))
+    return dataclasses.replace(mesh, nodes=nodes)
+
+
+@pytest.mark.parametrize("d,p", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_reference_tensor_matches_transpose_matmul(d, p):
+    rng = np.random.default_rng(10 * d + p)
+    mesh = _moved_mesh(d, p, rng)
+    theta = ddfem.ConductivityField.from_per_element(
+        10.0 ** rng.uniform(-3.0, 3.0, mesh.n_elements))
+    ref = ddfem.make_reference(d, p)
+    rule = ddfem.standard_rule(d, p)
+    tables = reference_tables(ref, rule)
+    geom = ddfem.element_geometry(mesh, ref, rule, theta, tables=tables)
+    if p == 2:
+        # isoparametric: the metric differs between Gauss points
+        assert np.ptp(geom.dets, axis=1).min() > 0.0
+    got = ddfem.element_stiffness(geom, ref, rule, tables=tables)
+    want = transpose_matmul_stiffness(geom.inverse_transposes, geom.dets,
+                                      geom.theta_vals, rule.weights, tables[1])
+    scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    np.testing.assert_array_equal(got, got.swapaxes(1, 2))
 
 
 def test_assembled_linear_in_theta():

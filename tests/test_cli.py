@@ -61,6 +61,29 @@ def test_approx_writes_kbar(tmp_path, capsys):
                                rtol=1e-15)
 
 
+@pytest.mark.parametrize("kind,k", [("square", 4), ("cube", 2)])
+def test_approx_file_matches_full_approximation(tmp_path, capsys, kind, k):
+    out = tmp_path / "Kbar.txt"
+    code, _, _ = run(capsys, "approx", "--kind", kind, "--k", str(k), "--p", "2",
+                     "--out", str(out))
+    assert code == 0
+    gen = ddfem.gen_structured_square if kind == "square" else ddfem.gen_structured_cube
+    want = tmp_path / "want.txt"
+    ddfem.approximate(ddfem.build_system(gen(k, p=2))).dd.kbar.save_text(want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_approx_builds_no_quality_or_h_blocks(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("approx needs only Kbar")
+
+    monkeypatch.setattr(dd_approx, "build_h_blocks", refuse)
+    monkeypatch.setattr(ddfem.quality, "compute_quality", refuse)
+    code, _, _ = run(capsys, "approx", "--kind", "square", "--k", "3",
+                     "--out", str(tmp_path / "Kbar.txt"))
+    assert code == 0
+
+
 def test_report_text_and_json_agree(tmp_path, capsys):
     code, text, _ = run(capsys, "report", "--kind", "square", "--k", "8",
                         "--p", "1")

@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ddfem
 from ddfem.dd_approx import (
+    DbarBlocks,
     build_dbar,
     build_h_blocks,
     chi3_bound,
     chi3_element_bounds,
     refactorization_residuals,
 )
-from ddfem.factorization import local_incidence
+from ddfem.errors import InfiniteSupportError
+from ddfem.factorization import ElementFactors, local_incidence
 from ddfem.pipeline import check_diagonal_dominance
 from ddfem.quality import QualityReport
+from ddfem.spectral import chi_report
 
 from conftest import jump_conductivity
 
@@ -144,6 +149,75 @@ def test_scaled_block_bounds(p):
     lower = system.sqp.tau_qp / (qual.alpha * qual.beta)
     assert np.all(h.sigma_max <= upper + 1e-10)
     assert np.all(h.sigma_min >= lower - 1e-10)
+
+
+def _h_blocks_of(j):
+    """``build_h_blocks`` of a raw stack: unit weights and scalars scale nothing."""
+    m = len(j)
+    factors = ElementFactors(alpha=np.ones(m), beta=np.ones(m),
+                             d_diag=np.ones(j.shape[:2]), j=j)
+    return build_h_blocks(factors, DbarBlocks(scalars=np.ones(m), f=np.ones(m),
+                                              g=np.ones(m)))
+
+
+def _conditioned_stack(rng, rows, cols, log_kappa):
+    """Random (rows, cols) blocks with singular values 10**(-log_kappa * [0..1]), rescaled."""
+    m = len(log_kappa)
+    u = np.linalg.qr(rng.standard_normal((m, rows, cols)))[0]
+    v = np.linalg.qr(rng.standard_normal((m, cols, cols)))[0]
+    s = 10.0 ** -(log_kappa[:, None] * np.linspace(0.0, 1.0, cols))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (m, 1, 1))
+    return scale * (u * s[:, None, :]) @ v.swapaxes(1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from([(6, 5), (12, 9), (3, 2), (4, 3)]),
+       m=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_h_block_spectra_match_svd(shape, m, seed):
+    # Block condition numbers from 1 to 1e12: those up to 100 (Gram up to
+    # 1e4) are read from the Gram eigenvalues, the rest take the SVD.
+    rng = np.random.default_rng(seed)
+    j = _conditioned_stack(rng, *shape, rng.uniform(0.0, 12.0, m))
+    hb = _h_blocks_of(j)
+    s = np.linalg.svd(j, compute_uv=False)
+    np.testing.assert_allclose(hb.sigma_max, s[:, 0], rtol=1e-11)
+    np.testing.assert_allclose(hb.sigma_min, s[:, -1], rtol=1e-11)
+    np.testing.assert_allclose(hb.kappa_per_element, (s[:, 0] / s[:, -1]) ** 2,
+                               rtol=1e-11)
+    np.testing.assert_allclose(hb.kappa_global,
+                               (s[:, 0].max() / s[:, -1].min()) ** 2, rtol=1e-11)
+    np.testing.assert_array_equal(hb.h, j.swapaxes(1, 2) @ j)
+
+
+def test_h_block_svd_runs_only_on_ill_conditioned_blocks(monkeypatch):
+    rng = np.random.default_rng(5)
+    log_kappa = np.array([0.0, 1.0, 1.9, 2.1, 6.0, 12.0])  # Gram: 1 .. 1e24
+    j = _conditioned_stack(rng, 6, 5, log_kappa)
+    sizes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        sizes.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    hb = _h_blocks_of(j)
+    assert sizes == [3]
+    np.testing.assert_allclose(hb.kappa_per_element[:3],
+                               10.0 ** (2 * log_kappa[:3]), rtol=1e-11)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_zero_or_nan_column_has_no_support(bad):
+    rng = np.random.default_rng(6)
+    j = _conditioned_stack(rng, 6, 5, np.zeros(4))
+    j[2, :, 1] = bad
+    hb = _h_blocks_of(j)
+    assert not hb.sigma_min[2] > 0.0
+    keep = [0, 1, 3]
+    np.testing.assert_allclose(hb.kappa_per_element[keep], 1.0, rtol=1e-13)
+    with pytest.raises(InfiniteSupportError):
+        chi_report(hb, synthetic_quality(), 1.0)
 
 
 def test_refactorization_identity_on_meshes():

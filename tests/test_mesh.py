@@ -440,6 +440,25 @@ def test_whole_column_reader_declines_float_integers_whatever_the_filters(edits)
         _read_lines(lines, 2, 3)
 
 
+@pytest.mark.parametrize("record,shown", [
+    ("node\x00 1 0 0 1", "'node\\x00'"),
+    ("nodes 1 0 0 1", "'nodes'"),
+    ("nodeX 1 0 0 1", "'nodeX'"),
+    ("theta\x00 elem 1 2.5", "'theta\\x00'"),
+])
+def test_keyword_field_keeps_longer_tokens_apart(record, shown):
+    # Keywords are read into fixed-width fields one character wider than the
+    # word, and NumPy strips trailing NULs from them, so a text holding a NUL
+    # goes to the line-by-line reader.
+    line = 2 if record.startswith("node") else 8
+    lines = _edited({line: record}).splitlines()
+    assert _read_arrays(lines, 2, 3) is None
+    with pytest.raises(MeshFormatError) as exc:
+        _read_lines(lines, 2, 3)
+    assert exc.value.line == line
+    assert f"unknown record {shown}" in str(exc.value)
+
+
 @pytest.mark.parametrize("index", ["0", "-1", "5", "100000000000000000000"])
 def test_element_node_out_of_range_before_renumbering(index):
     # Node 1 is Dirichlet, so loading renumbers; a node index outside 1..4
