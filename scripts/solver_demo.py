@@ -29,7 +29,7 @@ def main():
         np.where(centroids[:, 0] < 0.5, 1.0, args.jump))
 
     system = ddfem.build_system(mesh, theta)
-    kbar = ddfem.kbar_for_solve(system)
+    kbar = system.kbar
     rhs = ddfem.assemble_load(mesh, system.ref, system.rule, theta, 1.0,
                               geometries=system.geometries)
 

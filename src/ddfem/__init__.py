@@ -10,9 +10,7 @@ from .assembly import (
     element_stiffness,
 )
 from .dd_approx import (
-    DDApproximation,
     build_dbar,
-    build_dd_approximation,
     build_h_blocks,
     build_kbar,
     chi3_bound,
@@ -34,7 +32,7 @@ from .mesh import (
     save_mesh,
     transform_mesh,
 )
-from .pipeline import approximate, build_system, kbar_for_solve, verify_system
+from .pipeline import approximate, build_system, verify_system
 from .quadrature import (
     QuadratureRule,
     exact_monomial_integral,
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConductivityField",
-    "DDApproximation",
     "IncidenceMatrix",
     "Mesh",
     "PencilSpectrum",
@@ -78,7 +75,6 @@ __all__ = [
     "assemble_global",
     "assemble_load",
     "build_dbar",
-    "build_dd_approximation",
     "build_h_blocks",
     "build_incidence",
     "build_kbar",
@@ -100,7 +96,6 @@ __all__ = [
     "gen_structured_square",
     "global_support_check",
     "insert_midpoints",
-    "kbar_for_solve",
     "load_mesh",
     "make_reference",
     "make_rule",

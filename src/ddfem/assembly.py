@@ -80,9 +80,6 @@ class SparseSymmetricMatrix:
     def toarray(self) -> np.ndarray:
         return self.csr.toarray()
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csr @ x
-
     def __matmul__(self, x):
         return self.csr @ x
 
@@ -258,7 +255,7 @@ def assemble_global(mesh: Mesh, element_k: np.ndarray) -> SparseSymmetricMatrix:
 
 def assemble_load(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
                   theta: ConductivityField, source,
-                  dirichlet_values=None, neumann=0.0,
+                  dirichlet_values=None,
                   geometries: ElementGeometry | None = None,
                   element_k: np.ndarray | None = None) -> np.ndarray:
     """Load vector for the reduced system.
@@ -269,8 +266,6 @@ def assemble_load(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
     built here when not given) is subtracted here.  Only the natural (zero
     flux) boundary condition is supported on the remaining boundary.
     """
-    if neumann != 0.0:
-        raise UnsupportedConfigError("only zero Neumann data is supported")
     tables = reference_tables(ref, rule)
     vals = tables[0]
     n = mesh.n_free

@@ -312,7 +312,7 @@ def _cmd_approx(cfg) -> int:
     mesh = _resolve_mesh(cfg)
     system = pipeline.build_system(mesh, _resolve_theta(cfg, mesh),
                                    _resolve_rule(cfg, mesh))
-    pipeline.kbar_for_solve(system).save_text(cfg["out"])
+    system.kbar.save_text(cfg["out"])
     return EXIT_OK
 
 
@@ -363,7 +363,7 @@ def _cmd_solve(cfg) -> int:
     # K is assembled before Kbar is factored, so its assembly temporaries
     # are freed before the LU factor is allocated.
     stiffness = system.stiffness
-    kbar = pipeline.kbar_for_solve(system)
+    kbar = system.kbar
     rhs = assemble_load(mesh, system.ref, rule, theta, _resolve_source(cfg),
                         geometries=system.geometries,
                         element_k=system.element_stiffness)

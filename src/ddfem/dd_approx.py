@@ -12,13 +12,14 @@ The spectral extremes of every H block come from one batched ``eigvalsh``
 of the Gram stack H itself, which the refactorization check reads as well;
 only blocks too ill-conditioned for the Gram route go through an SVD of
 their scaled factor (see ``build_h_blocks``).
+
+``pipeline.AssembledSystem`` builds Dbar and Kbar once per system, on
+first use, and ``pipeline.approximate`` builds the H blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -63,25 +64,6 @@ class HBlocks:
     @property
     def max_kappa_element(self) -> float:
         return float(self.kappa_per_element.max())
-
-
-@dataclass(frozen=True, eq=False)
-class DDApproximation:
-    """Dbar, the H blocks and chi3; ``kbar`` is assembled on first use.
-
-    ``incidence`` returns the star incidence that ``kbar`` is built on; it
-    is called only then, so the quality numbers need no incidence and no
-    Kbar.
-    """
-
-    dbar: DbarBlocks
-    h_blocks: HBlocks
-    chi3_bound: float
-    incidence: Callable[[], IncidenceMatrix]
-
-    @cached_property
-    def kbar(self) -> SparseSymmetricMatrix:
-        return build_kbar(self.incidence(), self.dbar)
 
 
 def build_dbar(alpha: np.ndarray, geometries: ElementGeometry,
@@ -178,14 +160,3 @@ def refactorization_residuals(factors: ElementFactors,
     return relative_residuals(dbar.scalars[:, None, None] * h_blocks.h,
                               factors.gram())
 
-
-def build_dd_approximation(incidence: Callable[[], IncidenceMatrix], factors,
-                           geometries, rule: QuadratureRule,
-                           quality: QualityReport) -> DDApproximation:
-    dbar = build_dbar(factors.alpha, geometries, rule)
-    return DDApproximation(
-        dbar=dbar,
-        h_blocks=build_h_blocks(factors, dbar),
-        chi3_bound=chi3_bound(quality),
-        incidence=incidence,
-    )

@@ -558,9 +558,8 @@ class ConductivityField:
     """Scalar conductivity, evaluated at mapped Gauss points.
 
     One of three modes: a single constant, one constant per element, or a
-    function of the coordinates.  A closed-form expression (variables x, y,
-    z) is evaluated on whole arrays of points at once; a Python callable
-    (``from_callable``) is called once per point.
+    closed-form expression in the coordinates (variables x, y, z), evaluated
+    on whole arrays of points at once.
     """
 
     kind: str
@@ -599,10 +598,6 @@ class ConductivityField:
 
         return ConductivityField(kind="expression", expression=text, fn=fn)
 
-    @staticmethod
-    def from_callable(fn) -> "ConductivityField":
-        return ConductivityField(kind="expression", expression=None, fn=fn)
-
 
 def eval_conductivity(field: ConductivityField, x, element=None) -> np.ndarray:
     """Evaluate the conductivity at the points ``x`` of shape (..., d).
@@ -626,11 +621,8 @@ def eval_conductivity(field: ConductivityField, x, element=None) -> np.ndarray:
                 "per-element conductivity needs the element index"
             )
         values = np.broadcast_to(field.per_element[element], shape)
-    elif field.expression is not None:
-        values = field.fn(x)
     else:
-        flat = x.reshape(-1, x.shape[-1])
-        values = np.array([float(field.fn(point)) for point in flat]).reshape(shape)
+        values = field.fn(x)
     bad = ~(np.isfinite(values) & (values > 0.0))
     if bad.any():
         idx = np.unravel_index(int(np.argmax(bad)), shape)

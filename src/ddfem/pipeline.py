@@ -1,8 +1,11 @@
 """End-to-end wiring: mesh + conductivity -> stiffness, factors, approximation.
 
-This is the layer the command line and the experiment scripts drive.  It
-builds everything once, in a fixed order, and exposes a verification battery
-whose check list mirrors the mathematical guarantees of the construction.
+This is the layer the command line and the experiment scripts drive.
+``AssembledSystem`` owns every matrix of one system and builds each on first
+use, exactly once: K, the star incidence, the factors, Dbar and Kbar.
+``approximate`` adds the quality report, the H blocks and the chi chain, and
+``verify_system`` runs a battery whose check list mirrors the mathematical
+guarantees of the construction.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ class AssembledSystem:
 
     The geometry, the element matrices and ``alpha`` (which ``Kbar`` needs)
     are computed up front.  The reduced ``stiffness`` K, the star
-    ``incidence`` and the full ``factors`` (beta, the weights and the j
-    stack) are built on first use: a solve never builds the factors, and a
-    report builds neither K nor the incidence.
+    ``incidence``, the full ``factors`` (beta, the weights and the j stack),
+    the diagonal replacement ``dbar`` and ``kbar`` = A^T Dbar A are built on
+    first use and kept on the instance: a solve never builds the factors,
+    and a report builds neither K, the incidence nor Kbar.
     """
 
     mesh: Mesh
@@ -54,6 +58,16 @@ class AssembledSystem:
         return factorization.build_all_factors(self.geometries, self.alpha,
                                                self.sqp, self.rule)
 
+    @cached_property
+    def dbar(self) -> dd_approx.DbarBlocks:
+        """The per-element scalars of the diagonal replacement blocks."""
+        return dd_approx.build_dbar(self.alpha, self.geometries, self.rule)
+
+    @cached_property
+    def kbar(self) -> SparseSymmetricMatrix:
+        """The n x n graph Laplacian approximation Kbar = A^T Dbar A."""
+        return dd_approx.build_kbar(self.incidence, self.dbar)
+
 
 def build_system(mesh: Mesh, theta: ConductivityField | None = None,
                  rule: QuadratureRule | None = None) -> AssembledSystem:
@@ -76,36 +90,23 @@ def build_system(mesh: Mesh, theta: ConductivityField | None = None,
 
 @dataclass(frozen=True, eq=False)
 class ApproximationBundle:
-    """Approximation, quality scalars and the chi chain for a system."""
+    """Quality scalars, H blocks and the chi chain of a system."""
 
     quality: quality.QualityReport
-    dd: dd_approx.DDApproximation
+    h_blocks: dd_approx.HBlocks
     chi: spectral.ChiReport
 
 
-def _quality_and_dd(system: AssembledSystem):
+def _quality_and_h_blocks(system: AssembledSystem):
     qual = quality.compute_quality(system.geometries, system.factors,
                                    system.rule, system.sqp)
-    return qual, dd_approx.build_dd_approximation(
-        lambda: system.incidence, system.factors, system.geometries,
-        system.rule, qual)
-
-
-def kbar_for_solve(system: AssembledSystem) -> SparseSymmetricMatrix:
-    """Kbar alone, from the Dbar scalars and the star incidence.
-
-    This is the matrix ``approximate(system).dd.kbar`` builds on first use,
-    without the quality report, H blocks or chi chain that ``solve`` and
-    ``approx`` never read.
-    """
-    dbar = dd_approx.build_dbar(system.alpha, system.geometries, system.rule)
-    return dd_approx.build_kbar(system.incidence, dbar)
+    return qual, dd_approx.build_h_blocks(system.factors, system.dbar)
 
 
 def approximate(system: AssembledSystem) -> ApproximationBundle:
-    qual, dd = _quality_and_dd(system)
-    chi = spectral.chi_report(dd.h_blocks, qual, dd.chi3_bound)
-    return ApproximationBundle(quality=qual, dd=dd, chi=chi)
+    qual, h_blocks = _quality_and_h_blocks(system)
+    chi = spectral.chi_report(h_blocks, qual, dd_approx.chi3_bound(qual))
+    return ApproximationBundle(quality=qual, h_blocks=h_blocks, chi=chi)
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,8 @@ class VerificationSummary:
 
 
 def verify_system(system: AssembledSystem, *,
-                  dense_limit: int = spectral.DEFAULT_SIZE_LIMIT,
-                  order_rtol: float = 1e-8,
-                  identity_tol: float = 1e-10) -> VerificationSummary:
+                  dense_limit: int = spectral.DEFAULT_SIZE_LIMIT
+                  ) -> VerificationSummary:
     """Run the full invariant battery on an assembled system.
 
     Checks, in order: quadrature exactness at the required degree, element
@@ -146,7 +146,7 @@ def verify_system(system: AssembledSystem, *,
     add("quadrature-exactness", exact.passed,
         f"degree {exact.degree}, max error {exact.max_error:.3e}")
 
-    qual, dd = _quality_and_dd(system)
+    qual, h_blocks = _quality_and_h_blocks(system)
     sv = factorization.element_j_singular_values(system.factors)
     ab = qual.alpha * qual.beta
     upper_ok = bool(np.all(sv[:, 0] <= system.sqp.sigma_qp + 1e-10))
@@ -157,34 +157,34 @@ def verify_system(system: AssembledSystem, *,
 
     report = factorization.verify_first_factorization(
         system.mesh, system.factors, system.incidence,
-        system.element_stiffness, system.stiffness, tolerance=identity_tol)
+        system.element_stiffness, system.stiffness)
     add("factorization-identity", report.passed,
         f"element max {report.max_element_residual:.3e}, "
         f"assembled {report.global_residual:.3e}")
 
-    refac = dd_approx.refactorization_residuals(system.factors, dd.dbar,
-                                                dd.h_blocks)
-    add("refactorization-identity", bool(refac.max() <= identity_tol),
+    refac = dd_approx.refactorization_residuals(system.factors, system.dbar,
+                                                h_blocks)
+    add("refactorization-identity",
+        bool(refac.max() <= factorization.IDENTITY_TOL),
         f"max residual {refac.max():.3e}")
 
     jbar_upper = (qual.theta_ratio * qual.det_ratio
                   * qual.M_q / qual.m_q) ** 0.5 * system.sqp.sigma_qp
     jbar_lower = system.sqp.tau_qp / ab
-    up_ok = bool(np.all(dd.h_blocks.sigma_max <= jbar_upper + 1e-10))
-    low_ok = bool(np.all(dd.h_blocks.sigma_min >= jbar_lower - 1e-10))
+    up_ok = bool(np.all(h_blocks.sigma_max <= jbar_upper + 1e-10))
+    low_ok = bool(np.all(h_blocks.sigma_min >= jbar_lower - 1e-10))
     add("scaled-block-singular-values", up_ok and low_ok,
-        f"margins {float((jbar_upper - dd.h_blocks.sigma_max).min()):.3e}, "
-        f"{float((dd.h_blocks.sigma_min - jbar_lower).min()):.3e}")
+        f"margins {float((jbar_upper - h_blocks.sigma_max).min()):.3e}, "
+        f"{float((h_blocks.sigma_min - jbar_lower).min()):.3e}")
 
-    dd_ok, dd_detail = check_diagonal_dominance(dd.kbar)
+    dd_ok, dd_detail = check_diagonal_dominance(system.kbar)
     add("approximation-diagonal-dominance", dd_ok, dd_detail)
 
     try:
-        chi = spectral.chi_report(dd.h_blocks, qual, dd.chi3_bound,
-                                  order_rtol=order_rtol)
+        chi = spectral.chi_report(h_blocks, qual, dd_approx.chi3_bound(qual))
         add("chi-chain", True,
             f"max chi1 {chi.max_chi1:.6g} <= max chi2 {chi.max_chi2:.6g} "
-            f"<= chi3 {dd.chi3_bound:.6g}")
+            f"<= chi3 {chi.chi3:.6g}")
     except ConsistencyError as exc:
         chi = None
         add("chi-chain", False, str(exc))
@@ -192,9 +192,8 @@ def verify_system(system: AssembledSystem, *,
     n = system.stiffness.n
     if chi is not None and 0 < n <= dense_limit:
         try:
-            glob = spectral.global_support_check(system.stiffness, dd.kbar, chi,
-                                                 dd.h_blocks.kappa_global,
-                                                 rtol=order_rtol,
+            glob = spectral.global_support_check(system.stiffness, system.kbar,
+                                                 chi, h_blocks.kappa_global,
                                                  size_limit=dense_limit)
             add("global-splitting-bound", glob.splitting_ok,
                 f"sigma {glob.sigma_k_kbar:.6g} vs element max "
@@ -209,9 +208,13 @@ def verify_system(system: AssembledSystem, *,
     return VerificationSummary(checks=checks)
 
 
-def check_diagonal_dominance(kbar: SparseSymmetricMatrix,
-                             off_tol: float = 1e-14,
-                             row_rtol: float = 1e-12):
+# Largest off-diagonal entry of Kbar that still counts as nonpositive, and the
+# relative slack a row's diagonal may fall short of its off-diagonal sum.
+DOMINANCE_OFF_TOL = 1e-14
+DOMINANCE_ROW_RTOL = 1e-12
+
+
+def check_diagonal_dominance(kbar: SparseSymmetricMatrix):
     """Off-diagonals nonpositive and every row diagonally dominant."""
     if kbar.n == 0:
         return True, "empty system"
@@ -221,7 +224,7 @@ def check_diagonal_dominance(kbar: SparseSymmetricMatrix,
     row_off = np.bincount(entries.row[off], weights=np.abs(entries.data[off]),
                           minlength=kbar.n)
     diag = kbar.csr.diagonal()
-    slack = diag - row_off + row_rtol * np.abs(diag)
-    ok = worst_off <= off_tol and bool(np.all(slack >= 0.0))
+    slack = diag - row_off + DOMINANCE_ROW_RTOL * np.abs(diag)
+    ok = worst_off <= DOMINANCE_OFF_TOL and bool(np.all(slack >= 0.0))
     return ok, (f"worst off-diagonal {worst_off:.3e}, "
                 f"worst row slack {float(slack.min()):.3e}")

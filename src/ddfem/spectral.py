@@ -35,6 +35,11 @@ from .solver import KbarFactor, floating_components
 # that arrive contaminated by roundoff at the 1e-16 scale.
 NULLSPACE_RTOL = 1e-10
 
+# Relative slack of every bound the chi chain and the global support check
+# compare: the chain holds in exact arithmetic, so a violation beyond this can
+# only come from a broken construction.
+ORDER_RTOL = 1e-8
+
 # Largest reduced system the global support check accepts by default.
 DEFAULT_SIZE_LIMIT = 2000
 
@@ -157,8 +162,7 @@ class ChiReport:
     max_chi2: float
 
 
-def chi_report(h_blocks: HBlocks, quality, chi3_value: float, *,
-               order_rtol: float = 1e-8) -> ChiReport:
+def chi_report(h_blocks: HBlocks, quality, chi3_value: float) -> ChiReport:
     """Per-element chain: pair condition, middle condition, analytic bound.
 
     Element t's approximation is Kbar_t = s_t A^T A with A the onto star
@@ -171,7 +175,7 @@ def chi_report(h_blocks: HBlocks, quality, chi3_value: float, *,
     without support over K_t and raises InfiniteSupportError.
 
     The chain chi2 <= chi3_t <= chi3 holds in exact arithmetic; a violation
-    beyond ``order_rtol`` relative slack raises ConsistencyError naming the
+    beyond ``ORDER_RTOL`` relative slack raises ConsistencyError naming the
     first offending element, since it can only come from a broken
     construction.
     """
@@ -181,7 +185,7 @@ def chi_report(h_blocks: HBlocks, quality, chi3_value: float, *,
     chi2 = h_blocks.kappa_per_element
     chi3_elem = chi3_element_bounds(quality)
 
-    slack = 1.0 + order_rtol
+    slack = 1.0 + ORDER_RTOL
     links = [
         ("middle-block condition", chi2, "its analytic bound", chi3_elem),
         ("local analytic bound", chi3_elem, "the mesh-level bound",
@@ -220,7 +224,7 @@ class GlobalSupportReport:
         return self.splitting_ok and self.condition_bound_ok
 
 
-def _grounded_pair(stiffness, kbar, null_rtol: float):
+def _grounded_pair(stiffness, kbar):
     """K and Kbar with one node of every floating Kbar component deleted.
 
     Kbar's nullspace is spanned by the indicators of its floating components;
@@ -237,7 +241,7 @@ def _grounded_pair(stiffness, kbar, null_rtol: float):
         members = np.flatnonzero(labels == comp)
         unit = np.zeros(k_csr.shape[0])
         unit[members] = 1.0 / np.sqrt(members.size)
-        if np.linalg.norm(k_csr @ unit) > null_rtol * scale:
+        if np.linalg.norm(k_csr @ unit) > NULLSPACE_RTOL * scale:
             raise InfiniteSupportError(unit)
         keep[members[0]] = False
     if not keep.any():
@@ -287,9 +291,8 @@ def _extreme_eigenvalues(a, b) -> tuple[float, float]:
 
 
 def global_support_check(stiffness, kbar, chi: ChiReport, kappa_h: float, *,
-                         rtol: float = 1e-8,
-                         size_limit: int = DEFAULT_SIZE_LIMIT,
-                         null_rtol: float = NULLSPACE_RTOL) -> GlobalSupportReport:
+                         size_limit: int = DEFAULT_SIZE_LIMIT
+                         ) -> GlobalSupportReport:
     """Check that assembled support numbers obey the element-wise maxima.
 
     Verifies the splitting bound (each directed global support is at most the
@@ -301,19 +304,18 @@ def global_support_check(stiffness, kbar, chi: ChiReport, kappa_h: float, *,
     same eigenvalues; only its two extreme eigenvalues are needed, and they
     come from Lanczos iterations on sparse factors of Kbar and K.  A nullspace
     of K that Kbar does not share shows as a grounded K that will not factor
-    or a smallest eigenvalue below ``null_rtol`` times the largest, and raises
-    InfiniteSupportError.  Systems above ``size_limit`` raise SizeLimitError;
-    a Lanczos run that fails (ARPACK's non-convergence included) raises
-    EigensolverError.
+    or a smallest eigenvalue below ``NULLSPACE_RTOL`` times the largest, and
+    raises InfiniteSupportError.  Both bounds allow ``ORDER_RTOL`` relative
+    slack.  Systems above ``size_limit`` raise SizeLimitError; a Lanczos run
+    that fails (ARPACK's non-convergence included) raises EigensolverError.
     """
     n = stiffness.n
     if n > size_limit:
         raise SizeLimitError(
             f"global support verification limited to n <= {size_limit}, got n = {n}"
         )
-    lam_min, lam_max = _extreme_eigenvalues(
-        *_grounded_pair(stiffness, kbar, null_rtol))
-    if not lam_min > null_rtol * lam_max:
+    lam_min, lam_max = _extreme_eigenvalues(*_grounded_pair(stiffness, kbar))
+    if not lam_min > NULLSPACE_RTOL * lam_max:
         raise InfiniteSupportError(None)
     sigma_ab, sigma_ba, kappa = lam_max, 1.0 / lam_min, lam_max / lam_min
     max_ab = float(chi.support_k_kbar.max())
@@ -325,7 +327,7 @@ def global_support_check(stiffness, kbar, chi: ChiReport, kappa_h: float, *,
         max_element_sigma_k_kbar=max_ab,
         max_element_sigma_kbar_k=max_ba,
         kappa_h=kappa_h,
-        splitting_ok=(sigma_ab <= max_ab * (1.0 + rtol)
-                      and sigma_ba <= max_ba * (1.0 + rtol)),
-        condition_bound_ok=kappa <= kappa_h * (1.0 + rtol),
+        splitting_ok=(sigma_ab <= max_ab * (1.0 + ORDER_RTOL)
+                      and sigma_ba <= max_ba * (1.0 + ORDER_RTOL)),
+        condition_bound_ok=kappa <= kappa_h * (1.0 + ORDER_RTOL),
     )

@@ -110,12 +110,12 @@ def test_criterion_4_bound_chain(acceptance_cases):
 
 def test_criterion_5_diagonal_dominance(acceptance_cases):
     """Nonpositive off-diagonals, dominant rows, SPD under full Dirichlet."""
-    for label, system, bundle in acceptance_cases:
-        ok, detail = check_diagonal_dominance(bundle.dd.kbar)
+    for label, system, _ in acceptance_cases:
+        ok, detail = check_diagonal_dominance(system.kbar)
         assert ok, f"{label}: {detail}"
-        n = bundle.dd.kbar.n
+        n = system.kbar.n
         assert 0 < n <= 500, label
-        smallest = np.linalg.eigvalsh(bundle.dd.kbar.toarray())[0]
+        smallest = np.linalg.eigvalsh(system.kbar.toarray())[0]
         assert smallest > 0, label
     _report(5, "dominance and positive definiteness on all cases")
 
@@ -126,11 +126,11 @@ def test_criterion_6_global_support(acceptance_cases):
     for label, system, bundle in acceptance_cases:
         if not 0 < system.stiffness.n <= 500:
             continue
-        report = global_support_check(system.stiffness, bundle.dd.kbar,
-                                      bundle.chi, bundle.dd.h_blocks.kappa_global)
+        report = global_support_check(system.stiffness, system.kbar,
+                                      bundle.chi, bundle.h_blocks.kappa_global)
         assert report.sigma_k_kbar <= (bundle.chi.support_k_kbar.max()
                                        * (1 + 1e-8)), label
-        assert report.kappa <= (bundle.dd.h_blocks.max_kappa_element
+        assert report.kappa <= (bundle.h_blocks.max_kappa_element
                                 * (1 + 1e-8)), label
         checked += 1
     assert checked == len(acceptance_cases)
@@ -149,14 +149,14 @@ def test_criterion_6_global_support_at_realistic_size():
         system = ddfem.build_system(mesh, theta)
         assert system.stiffness.n == n, label
         bundle = ddfem.approximate(system)
-        report = global_support_check(system.stiffness, bundle.dd.kbar,
-                                      bundle.chi, bundle.dd.h_blocks.kappa_global,
+        report = global_support_check(system.stiffness, system.kbar,
+                                      bundle.chi, bundle.h_blocks.kappa_global,
                                       size_limit=n)
         assert report.splitting_ok, label
         assert report.kappa <= report.kappa_h * (1 + 1e-8), label
-        assert report.kappa_h <= bundle.dd.chi3_bound * (1 + 1e-8), label
+        assert report.kappa_h <= bundle.chi.chi3 * (1 + 1e-8), label
         sizes.append(f"n={n} kappa {report.kappa:.4g} <= kappa(H) "
-                     f"{report.kappa_h:.4g} <= chi3 {bundle.dd.chi3_bound:.4g}")
+                     f"{report.kappa_h:.4g} <= chi3 {bundle.chi.chi3:.4g}")
     _report(6, "; ".join(sizes))
 
 
@@ -206,18 +206,17 @@ def test_criterion_9_solver():
     mesh = ddfem.gen_structured_square(16, p=1)
     theta = jump_conductivity(mesh)
     system = ddfem.build_system(mesh, theta)
-    bundle = ddfem.approximate(system)
     rhs = ddfem.assemble_load(mesh, system.ref, system.rule, theta, 1.0,
                               geometries=system.geometries)
     result = pcg_solve(system.stiffness, rhs,
-                       preconditioner=factor_kbar(bundle.dd.kbar), tol=tol)
+                       preconditioner=factor_kbar(system.kbar), tol=tol)
     assert result.converged
     assert result.relative_residual <= tol
 
     dense = np.linalg.solve(system.stiffness.toarray(), rhs)
     assert np.abs(result.x - dense).max() <= 1e-8
 
-    pencil = condition_pair(system.stiffness.toarray(), bundle.dd.kbar.toarray())
+    pencil = condition_pair(system.stiffness.toarray(), system.kbar.toarray())
     bound = cg_iteration_bound(pencil.kappa, tol)
     assert result.iterations <= bound
     _report(9, f"{result.iterations} iterations <= bound {bound}, "

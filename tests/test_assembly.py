@@ -6,7 +6,7 @@ import pytest
 
 import ddfem
 from ddfem.assembly import SparseSymmetricMatrix, reference_tables
-from ddfem.errors import ElementOrientationError, MeshFormatError, UnsupportedConfigError
+from ddfem.errors import ElementOrientationError, MeshFormatError
 
 from oracles import exact_p1_element_stiffness, transpose_matmul_stiffness
 
@@ -219,13 +219,6 @@ def test_load_picks_up_dirichlet_coupling():
     # constrained node is the origin; couplings are the -1/2 entries
     np.testing.assert_allclose(rhs, [0.5 * c, 0.5 * c], atol=1e-14)
     assert kt[0, 1] == pytest.approx(-0.5)
-
-
-def test_load_rejects_nonzero_neumann(unit_triangle_mesh):
-    system = ddfem.build_system(unit_triangle_mesh)
-    with pytest.raises(UnsupportedConfigError):
-        ddfem.assemble_load(unit_triangle_mesh, system.ref, system.rule,
-                            system.theta, 1.0, neumann=2.0)
 
 
 def test_sparsity_confined_to_shared_elements():

@@ -56,8 +56,7 @@ def test_approx_writes_kbar(tmp_path, capsys):
     assert code == 0
     loaded = SparseSymmetricMatrix.load_text(out)
     system = ddfem.build_system(ddfem.gen_structured_square(3, p=1))
-    bundle = ddfem.approximate(system)
-    np.testing.assert_allclose(loaded.toarray(), bundle.dd.kbar.toarray(),
+    np.testing.assert_allclose(loaded.toarray(), system.kbar.toarray(),
                                rtol=1e-15)
 
 
@@ -69,7 +68,7 @@ def test_approx_file_matches_full_approximation(tmp_path, capsys, kind, k):
     assert code == 0
     gen = ddfem.gen_structured_square if kind == "square" else ddfem.gen_structured_cube
     want = tmp_path / "want.txt"
-    ddfem.approximate(ddfem.build_system(gen(k, p=2))).dd.kbar.save_text(want)
+    ddfem.build_system(gen(k, p=2)).kbar.save_text(want)
     assert out.read_bytes() == want.read_bytes()
 
 
@@ -134,6 +133,53 @@ def test_report_assembles_neither_k_nor_kbar(capsys, monkeypatch):
                       "--p", "2", "--format", "json")
     assert code == 0
     assert json.loads(js)["n"] == ddfem.gen_structured_square(4, p=2).n_free
+
+
+@pytest.mark.parametrize("argv,kbar_calls", [
+    (["report", "--kind", "square", "--k", "4", "--p", "2"], 0),
+    (["approx", "--kind", "square", "--k", "4", "--p", "2", "--out", "{out}"], 1),
+    (["verify", "--kind", "square", "--k", "4", "--p", "2"], 1),
+    (["solve", "--kind", "cube", "--k", "2", "--p", "2", "--out", "{out}"], 1),
+], ids=["report", "approx", "verify", "solve"])
+def test_dbar_and_kbar_built_once_per_command(tmp_path, capsys, monkeypatch,
+                                             argv, kbar_calls):
+    calls = {"build_dbar": 0, "build_kbar": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {name: getattr(dd_approx, name) for name in calls}
+    for module in [m for name, m in sys.modules.items()
+                   if name == "ddfem" or name.startswith("ddfem.")]:
+        for attr, value in list(vars(module).items()):
+            for name, fn in originals.items():
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting(name, fn))
+    argv = [str(tmp_path / "out.txt") if a == "{out}" else a for a in argv]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == {"build_dbar": 1, "build_kbar": kbar_calls}
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--kind", "square", "--k", "6", "--p", "2", "--format", "json"],
+    ["verify", "--kind", "square", "--k", "6", "--p", "2"],
+    ["solve", "--kind", "cube", "--k", "2", "--p", "2", "--theta",
+     "expr:1 + 1e4 * (x > 0.5)", "--out", "{out}"],
+], ids=["report-json", "verify", "solve"])
+def test_repeated_runs_in_one_process_are_identical(tmp_path, capsys, argv):
+    # Nothing one run builds may leak into the next run in the same process.
+    outputs = []
+    for i in range(2):
+        out = tmp_path / f"out{i}.txt"
+        code, stdout, _ = run(capsys, *[str(out) if a == "{out}" else a
+                                        for a in argv])
+        assert code == 0
+        outputs.append((stdout, out.read_bytes() if out.exists() else None))
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_healthy_mesh(capsys):

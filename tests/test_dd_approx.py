@@ -69,8 +69,7 @@ def test_dbar_invariant_under_2d_rescaling(unit_triangle_mesh):
 
 def test_kbar_single_triangle_star(unit_triangle_mesh):
     system = ddfem.build_system(unit_triangle_mesh)
-    bundle = ddfem.approximate(system)
-    np.testing.assert_allclose(bundle.dd.kbar.toarray(), 0.5 * STAR_LAPLACIAN_3,
+    np.testing.assert_allclose(system.kbar.toarray(), 0.5 * STAR_LAPLACIAN_3,
                                atol=1e-15)
 
 
@@ -81,7 +80,7 @@ def test_kbar_dirichlet_reduction_is_spd():
     from ddfem.mesh import normalize_numbering
 
     system = ddfem.build_system(normalize_numbering(mesh))
-    kbar = ddfem.approximate(system).dd.kbar.toarray()
+    kbar = system.kbar.toarray()
     assert kbar.shape == (2, 2)
     assert np.linalg.eigvalsh(kbar)[0] > 0
 
@@ -93,7 +92,7 @@ def test_kbar_nullity_counts_components():
                       elements=np.array([[0, 1, 2], [3, 4, 5]]),
                       dirichlet=np.zeros(6, dtype=bool))
     system = ddfem.build_system(mesh)
-    kbar = ddfem.approximate(system).dd.kbar.toarray()
+    kbar = system.kbar.toarray()
     w = np.linalg.eigvalsh(kbar)
     assert np.sum(np.abs(w) < 1e-12) == 2
 
@@ -102,12 +101,11 @@ def test_kbar_equals_incidence_product():
     # independent route: A^T diag(dbar) A through scipy sparse algebra
     mesh = ddfem.gen_structured_square(3, p=2)
     system = ddfem.build_system(mesh)
-    bundle = ddfem.approximate(system)
     lm1 = system.ref.l - 1
-    weights = np.repeat(bundle.dd.dbar.scalars, lm1)
+    weights = np.repeat(system.dbar.scalars, lm1)
     a = system.incidence.matrix
     product = (a.T.multiply(weights) @ a).toarray()
-    np.testing.assert_allclose(bundle.dd.kbar.toarray(), product, atol=1e-12)
+    np.testing.assert_allclose(system.kbar.toarray(), product, atol=1e-12)
 
 
 @pytest.mark.parametrize("mesh_theta", range(4))
@@ -121,15 +119,14 @@ def test_kbar_diagonally_dominant(mesh_theta):
     cases.append((jump, jump_conductivity(jump)))
     mesh, theta = cases[mesh_theta]
     system = ddfem.build_system(mesh, theta)
-    bundle = ddfem.approximate(system)
-    ok, detail = check_diagonal_dominance(bundle.dd.kbar)
+    ok, detail = check_diagonal_dominance(system.kbar)
     assert ok, detail
 
 
 def test_h_identity_triangle(unit_triangle_mesh):
     system = ddfem.build_system(unit_triangle_mesh)
     bundle = ddfem.approximate(system)
-    h = bundle.dd.h_blocks
+    h = bundle.h_blocks
     np.testing.assert_allclose(h.h[0], np.eye(2), atol=1e-15)
     assert h.kappa_per_element[0] == pytest.approx(1.0)
     assert h.kappa_global == pytest.approx(1.0)
@@ -251,14 +248,14 @@ def test_chi3_element_bounds_below_global():
     system = ddfem.build_system(mesh)
     bundle = ddfem.approximate(system)
     local = chi3_element_bounds(bundle.quality)
-    assert np.all(bundle.dd.h_blocks.kappa_per_element <= local * (1 + 1e-8))
+    assert np.all(bundle.h_blocks.kappa_per_element <= local * (1 + 1e-8))
     assert np.all(local <= bundle.chi.chi3 * (1 + 1e-8))
 
 
 def test_max_element_kappa_vs_global():
     mesh = ddfem.gen_structured_cube(2, p=2)
     system = ddfem.build_system(mesh)
-    h = ddfem.approximate(system).dd.h_blocks
+    h = ddfem.approximate(system).h_blocks
     assert h.max_kappa_element <= h.kappa_global * (1 + 1e-12)
     # congruent structured elements: the two coincide
     assert h.max_kappa_element == pytest.approx(h.kappa_global, rel=1e-10)
@@ -275,8 +272,8 @@ def test_rescaling_leaves_conditioning_alone(scale, maker):
     scaled_sys = ddfem.build_system(
         ddfem.transform_mesh(maker(), lambda x: scale * x))
     scaled = ddfem.approximate(scaled_sys)
-    np.testing.assert_allclose(scaled.dd.h_blocks.kappa_per_element,
-                               base.dd.h_blocks.kappa_per_element, rtol=1e-10)
+    np.testing.assert_allclose(scaled.h_blocks.kappa_per_element,
+                               base.h_blocks.kappa_per_element, rtol=1e-10)
     np.testing.assert_allclose(scaled.chi.chi1, base.chi.chi1, rtol=1e-10)
     np.testing.assert_allclose(scaled.chi.chi2, base.chi.chi2, rtol=1e-10)
     assert scaled.chi.chi3 == pytest.approx(base.chi.chi3, rel=1e-10)
@@ -284,10 +281,9 @@ def test_rescaling_leaves_conditioning_alone(scale, maker):
 
 def test_element_kbar_blocks_match_global(two_triangle_square):
     system = ddfem.build_system(two_triangle_square)
-    bundle = ddfem.approximate(system)
     star = local_incidence(3)
     scatter = np.zeros((4, 4))
     for t in range(2):
         ids = two_triangle_square.elements[t]
-        scatter[np.ix_(ids, ids)] += bundle.dd.dbar.scalars[t] * (star.T @ star)
-    np.testing.assert_allclose(scatter, bundle.dd.kbar.toarray(), atol=1e-14)
+        scatter[np.ix_(ids, ids)] += system.dbar.scalars[t] * (star.T @ star)
+    np.testing.assert_allclose(scatter, system.kbar.toarray(), atol=1e-14)

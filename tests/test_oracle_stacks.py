@@ -87,12 +87,12 @@ def test_element_stacks_match_loops(case):
     k_loop = np.array([o[0] for o in oracle])
     h_loop = np.array([o[3] for o in oracle])
     _close_blocks(system.element_stiffness, k_loop, RTOL_ELEMENT)
-    _close_blocks(bundle.dd.h_blocks.h, h_loop, RTOL_ELEMENT)
+    _close_blocks(bundle.h_blocks.h, h_loop, RTOL_ELEMENT)
     np.testing.assert_allclose(system.factors.alpha, [o[1] for o in oracle],
                                rtol=RTOL_ELEMENT)
     np.testing.assert_allclose(system.factors.beta, [o[2] for o in oracle],
                                rtol=RTOL_ELEMENT)
-    np.testing.assert_allclose(bundle.dd.dbar.scalars, [o[4] for o in oracle],
+    np.testing.assert_allclose(system.dbar.scalars, [o[4] for o in oracle],
                                rtol=RTOL_ELEMENT)
 
 
@@ -124,14 +124,14 @@ def test_element_supports_match_dense_pencils(case):
 
 
 def test_assembled_matrices_match_dict_scatter(case):
-    system, bundle = case
+    system, _ = case
     mesh = system.mesh
     n = mesh.n_free
     oracle = _oracle_elements(system)
     pairs = [
         (system.stiffness.csr,
          dict_scatter(n, mesh.elements, [o[0] for o in oracle])),
-        (bundle.dd.kbar.csr,
+        (system.kbar.csr,
          dict_star_laplacian(n, mesh.elements, [o[4] for o in oracle])),
     ]
     for got, want in pairs:

@@ -18,21 +18,19 @@ def test_factor_one_by_one():
 def test_factor_solve_residual():
     mesh = ddfem.gen_structured_square(8, p=1)
     system = ddfem.build_system(mesh)
-    bundle = ddfem.approximate(system)
-    handle = factor_kbar(bundle.dd.kbar)
+    handle = factor_kbar(system.kbar)
     rng = np.random.default_rng(1)
     for _ in range(3):
-        r = rng.standard_normal(bundle.dd.kbar.n)
+        r = rng.standard_normal(system.kbar.n)
         x = handle.solve(r)
-        res = np.linalg.norm(bundle.dd.kbar @ x - r) / np.linalg.norm(r)
+        res = np.linalg.norm(system.kbar @ x - r) / np.linalg.norm(r)
         assert res <= 1e-12
 
 
 def test_factor_rejects_floating_mesh(two_triangle_square):
     system = ddfem.build_system(two_triangle_square)
-    bundle = ddfem.approximate(system)
     with pytest.raises(SingularSystemError) as exc:
-        factor_kbar(bundle.dd.kbar)
+        factor_kbar(system.kbar)
     assert "component" in str(exc.value)
     assert exc.value.component is not None
 
@@ -47,9 +45,8 @@ def test_factor_names_the_floating_component():
         d=2, p=1, nodes=nodes, elements=np.array([[0, 1, 2], [3, 4, 5]]),
         dirichlet=flags))
     system = ddfem.build_system(mesh)
-    bundle = ddfem.approximate(system)
     with pytest.raises(SingularSystemError):
-        factor_kbar(bundle.dd.kbar)
+        factor_kbar(system.kbar)
 
 
 def test_empty_system_trivial():
@@ -90,10 +87,9 @@ def test_square_solve_matches_dense():
     # uniform grid (tiny meshes finish in a handful of lucky iterations).
     mesh = ddfem.gen_structured_square(16, p=1)
     system = ddfem.build_system(mesh)
-    bundle = ddfem.approximate(system)
     rhs = ddfem.assemble_load(mesh, system.ref, system.rule, system.theta, 1.0,
                               geometries=system.geometries)
-    handle = factor_kbar(bundle.dd.kbar)
+    handle = factor_kbar(system.kbar)
     pre = pcg_solve(system.stiffness, rhs, preconditioner=handle, tol=1e-10)
     plain = pcg_solve(system.stiffness, rhs, preconditioner=None, tol=1e-10)
     assert pre.converged and plain.converged
@@ -107,14 +103,13 @@ def test_iteration_bound_holds():
     mesh = ddfem.gen_structured_square(8, p=1)
     theta = jump_conductivity(mesh)
     system = ddfem.build_system(mesh, theta)
-    bundle = ddfem.approximate(system)
     rhs = ddfem.assemble_load(mesh, system.ref, system.rule, theta, 1.0,
                               geometries=system.geometries)
-    handle = factor_kbar(bundle.dd.kbar)
+    handle = factor_kbar(system.kbar)
     tol = 1e-10
     result = pcg_solve(system.stiffness, rhs, preconditioner=handle, tol=tol)
     pencil = ddfem.condition_pair(system.stiffness.toarray(),
-                                  bundle.dd.kbar.toarray())
+                                  system.kbar.toarray())
     assert result.converged
     assert result.iterations <= cg_iteration_bound(pencil.kappa, tol)
 
@@ -123,13 +118,12 @@ def test_ritz_values_bracketed_by_pencil():
     mesh = ddfem.gen_structured_square(6, p=1)
     theta = jump_conductivity(mesh, high=100.0)
     system = ddfem.build_system(mesh, theta)
-    bundle = ddfem.approximate(system)
     rhs = ddfem.assemble_load(mesh, system.ref, system.rule, theta, 1.0,
                               geometries=system.geometries)
-    handle = factor_kbar(bundle.dd.kbar)
+    handle = factor_kbar(system.kbar)
     result = pcg_solve(system.stiffness, rhs, preconditioner=handle, tol=1e-12)
     pencil = ddfem.condition_pair(system.stiffness.toarray(),
-                                  bundle.dd.kbar.toarray())
+                                  system.kbar.toarray())
     lam_min = 1.0 / pencil.support_ba
     lam_max = pencil.support_ab
     assert result.ritz_values.min() >= lam_min * 0.95
@@ -185,9 +179,8 @@ def test_patch_linear_solution_reproduced_exactly():
     rhs = ddfem.assemble_load(mesh, system.ref, system.rule, system.theta, 0.0,
                               dirichlet_values=exact,
                               geometries=system.geometries)
-    bundle = ddfem.approximate(system)
     result = pcg_solve(system.stiffness, rhs,
-                       preconditioner=factor_kbar(bundle.dd.kbar), tol=1e-13)
+                       preconditioner=factor_kbar(system.kbar), tol=1e-13)
     want = np.array([exact(x) for x in mesh.nodes[:mesh.n_free]])
     assert np.abs(result.x - want).max() <= 1e-12
 
@@ -201,9 +194,8 @@ def test_patch_quadratic_solution_reproduced_exactly():
     rhs = ddfem.assemble_load(mesh, system.ref, system.rule, system.theta, -2.0,
                               dirichlet_values=exact,
                               geometries=system.geometries)
-    bundle = ddfem.approximate(system)
     result = pcg_solve(system.stiffness, rhs,
-                       preconditioner=factor_kbar(bundle.dd.kbar), tol=1e-13)
+                       preconditioner=factor_kbar(system.kbar), tol=1e-13)
     want = np.array([exact(x) for x in mesh.nodes[:mesh.n_free]])
     assert np.abs(result.x - want).max() <= 1e-12
 
@@ -214,7 +206,7 @@ def _jump_cube_problem(k):
     system = ddfem.build_system(mesh, theta)
     rhs = ddfem.assemble_load(mesh, system.ref, system.rule, theta, 1.0,
                               geometries=system.geometries)
-    return system, rhs, factor_kbar(ddfem.kbar_for_solve(system))
+    return system, rhs, factor_kbar(system.kbar)
 
 
 def _true_residual(system, rhs, x):

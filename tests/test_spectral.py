@@ -72,10 +72,9 @@ def test_condition_of_equal_matrices():
 
 def test_identity_triangle_pair_is_perfect(unit_triangle_mesh):
     system = ddfem.build_system(unit_triangle_mesh)
-    bundle = ddfem.approximate(system)
     star = local_incidence(3)
     pencil = ddfem.condition_pair(system.element_stiffness[0],
-                                  bundle.dd.dbar.scalars[0] * (star.T @ star))
+                                  system.dbar.scalars[0] * (star.T @ star))
     assert pencil.kappa == pytest.approx(1.0, abs=1e-12)
 
 
@@ -136,24 +135,24 @@ def test_chi_report_on_mesh():
 def test_chi_report_rejects_inconsistent_inputs(unit_triangle_mesh):
     system = ddfem.build_system(unit_triangle_mesh)
     bundle = ddfem.approximate(system)
-    h = bundle.dd.h_blocks
+    h = bundle.h_blocks
     # claim a middle block conditioned far worse than its analytic bound allows
     broken = dataclasses.replace(h, sigma_max=2.0 * h.sigma_max,
                                  kappa_per_element=4.0 * h.kappa_per_element)
     with pytest.raises(ConsistencyError):
-        chi_report(broken, bundle.quality, bundle.dd.chi3_bound)
+        chi_report(broken, bundle.quality, bundle.chi.chi3)
 
 
 def test_chi_report_rejects_rank_deficient_approximation(two_triangle_square):
     system = ddfem.build_system(two_triangle_square)
     bundle = ddfem.approximate(system)
-    h = bundle.dd.h_blocks
+    h = bundle.h_blocks
     for bad in (0.0, -1.0, np.nan, np.inf):
         sigma_min = h.sigma_min.copy()
         sigma_min[1] = bad
         with pytest.raises(InfiniteSupportError):
             chi_report(dataclasses.replace(h, sigma_min=sigma_min),
-                       bundle.quality, bundle.dd.chi3_bound)
+                       bundle.quality, bundle.chi.chi3)
 
 
 def test_condition_pair_broadcasts_over_stacks():
@@ -182,8 +181,8 @@ def test_global_support_check_small_meshes():
                  ddfem.gen_structured_cube(2, p=1)):
         system = ddfem.build_system(mesh)
         bundle = ddfem.approximate(system)
-        report = global_support_check(system.stiffness, bundle.dd.kbar,
-                                      bundle.chi, bundle.dd.h_blocks.kappa_global)
+        report = global_support_check(system.stiffness, system.kbar,
+                                      bundle.chi, bundle.h_blocks.kappa_global)
         assert report.passed
         assert report.sigma_k_kbar <= report.max_element_sigma_k_kbar * (1 + 1e-8)
         assert report.sigma_kbar_k <= report.max_element_sigma_kbar_k * (1 + 1e-8)
@@ -193,8 +192,8 @@ def test_global_support_check_small_meshes():
 def test_single_element_global_equals_element(unit_triangle_mesh):
     system = ddfem.build_system(unit_triangle_mesh)
     bundle = ddfem.approximate(system)
-    report = global_support_check(system.stiffness, bundle.dd.kbar, bundle.chi,
-                                  bundle.dd.h_blocks.kappa_global)
+    report = global_support_check(system.stiffness, system.kbar, bundle.chi,
+                                  bundle.h_blocks.kappa_global)
     assert report.sigma_k_kbar == pytest.approx(
         float(bundle.chi.support_k_kbar[0]), rel=1e-10)
 
@@ -202,8 +201,8 @@ def test_single_element_global_equals_element(unit_triangle_mesh):
 def test_two_element_global_below_element_max(two_triangle_square):
     system = ddfem.build_system(two_triangle_square)
     bundle = ddfem.approximate(system)
-    report = global_support_check(system.stiffness, bundle.dd.kbar, bundle.chi,
-                                  bundle.dd.h_blocks.kappa_global)
+    report = global_support_check(system.stiffness, system.kbar, bundle.chi,
+                                  bundle.h_blocks.kappa_global)
     assert report.sigma_k_kbar <= float(bundle.chi.support_k_kbar.max()) * (1 + 1e-8)
 
 
@@ -212,8 +211,8 @@ def test_size_limit_guard():
     system = ddfem.build_system(mesh)
     bundle = ddfem.approximate(system)
     with pytest.raises(SizeLimitError):
-        global_support_check(system.stiffness, bundle.dd.kbar, bundle.chi,
-                             bundle.dd.h_blocks.kappa_global, size_limit=3)
+        global_support_check(system.stiffness, system.kbar, bundle.chi,
+                             bundle.h_blocks.kappa_global, size_limit=3)
 
 
 def _two_floating_squares():
@@ -248,9 +247,9 @@ def test_global_support_check_matches_dense_oracle(case, request):
     mesh, theta = ORACLE_CASES[case](request)
     system = ddfem.build_system(mesh, theta)
     bundle = ddfem.approximate(system)
-    report = global_support_check(system.stiffness, bundle.dd.kbar, bundle.chi,
-                                  bundle.dd.h_blocks.kappa_global)
-    expect = dense_global_support(system.stiffness, bundle.dd.kbar)
+    report = global_support_check(system.stiffness, system.kbar, bundle.chi,
+                                  bundle.h_blocks.kappa_global)
+    expect = dense_global_support(system.stiffness, system.kbar)
     np.testing.assert_allclose(
         [report.sigma_k_kbar, report.sigma_kbar_k, report.kappa], expect,
         rtol=1e-10)
@@ -273,7 +272,7 @@ def test_global_check_rejects_k_off_kbar_nullspace(k):
     bumped = _symmetric(system.stiffness.csr
                         + sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n)))
     with pytest.raises(InfiniteSupportError) as exc:
-        global_support_check(bumped, bundle.dd.kbar, bundle.chi, 1.0)
+        global_support_check(bumped, system.kbar, bundle.chi, 1.0)
     np.testing.assert_allclose(exc.value.direction, np.full(n, n ** -0.5))
 
 
@@ -286,11 +285,11 @@ def test_global_check_rejects_extra_k_nullspace(k, how):
     assert (system.stiffness.n < LANCZOS_MIN_N) == (k == 4)
     kk = system.stiffness.csr
     if how == "shifted-pencil":
-        lam_min = 1.0 / dense_global_support(system.stiffness, bundle.dd.kbar)[1]
-        singular = kk - lam_min * bundle.dd.kbar.csr
+        lam_min = 1.0 / dense_global_support(system.stiffness, system.kbar)[1]
+        singular = kk - lam_min * system.kbar.csr
     else:
         singular = kk - sp.diags(np.asarray(kk.sum(axis=1)).reshape(-1))
     with pytest.raises(InfiniteSupportError):
-        dense_global_support(_symmetric(singular), bundle.dd.kbar)
+        dense_global_support(_symmetric(singular), system.kbar)
     with pytest.raises(InfiniteSupportError):
-        global_support_check(_symmetric(singular), bundle.dd.kbar, bundle.chi, 1.0)
+        global_support_check(_symmetric(singular), system.kbar, bundle.chi, 1.0)
