@@ -44,15 +44,29 @@ class ElementGeometry:
 
 
 def _mirrored_csr(n: int, rows, cols, vals) -> sp.csr_matrix:
-    # Sum the upper-triangle triplets, then copy each strictly upper entry
-    # below the diagonal: both halves hold the same floating-point value.
-    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr().tocoo()
-    off = upper.row != upper.col
-    return sp.csr_matrix(
-        (np.concatenate([upper.data, upper.data[off]]),
-         (np.concatenate([upper.row, upper.col[off]]),
-          np.concatenate([upper.col, upper.row[off]]))),
-        shape=(n, n))
+    # Sum the upper-triangle triplets, then put in front of each row the
+    # strictly upper entries of its column: both halves hold the same
+    # floating-point value.  The transposed strict part (a counting-sort
+    # CSR -> CSC pass) and the upper rows are each column-sorted, and every
+    # lower column is below every upper one, so the rows need no sorting.
+    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    row_of = np.repeat(np.arange(n, dtype=upper.indices.dtype),
+                       np.diff(upper.indptr))
+    off = upper.indices != row_of
+    strict_ptr = np.zeros_like(upper.indptr)
+    np.cumsum(np.bincount(row_of[off], minlength=n), out=strict_ptr[1:])
+    lower = sp.csr_matrix((upper.data[off], upper.indices[off], strict_ptr),
+                          shape=(n, n)).tocsc()
+    # Row i of the result starts at lower.indptr[i] + upper.indptr[i]: its
+    # lower part first, then its upper part.
+    up_ptr, lo_ptr = upper.indptr, lower.indptr
+    lo_pos = np.arange(lower.nnz) + np.repeat(up_ptr[:-1], np.diff(lo_ptr))
+    up_pos = np.arange(upper.nnz) + np.repeat(lo_ptr[1:], np.diff(up_ptr))
+    indices = np.empty(lower.nnz + upper.nnz, dtype=upper.indices.dtype)
+    data = np.empty(indices.size)
+    indices[lo_pos], indices[up_pos] = lower.indices, upper.indices
+    data[lo_pos], data[up_pos] = lower.data, upper.data
+    return sp.csr_matrix((data, indices, lo_ptr + up_ptr), shape=(n, n))
 
 
 class SparseSymmetricMatrix:

@@ -2,11 +2,17 @@
 
 The approximation is applied exactly through a sparse direct factorization
 with a fill-reducing ordering, so the pair condition number is the only
-variable in play.  Convergence is judged on the true residual
-``||b - A x|| / ||b||``: the iteration computes it whenever the recurrence
-residual reaches the tolerance, and stops only if it is below the tolerance
-too (otherwise the recurrence restarts from it), which removes any drift or
-preconditioner-norm ambiguity from the convergence test.
+variable in play.  Before SuperLU sees it, ``KbarFactor`` eliminates an
+independent set of rows exactly: every arc of Kbar joins an element's star
+centre to another node of that element, so the nodes that are never a centre
+touch no other such node, and their block of Kbar is diagonal.  Dividing by
+that diagonal is the first step of Gaussian elimination for graph Laplacians
+and leaves only the Schur complement on the star centres to factor (about a
+quarter of the unknowns for order 2 in 2D, a ninth in 3D).  Convergence is
+judged on the true residual ``||b - A x|| / ||b||``: the iteration computes it
+whenever the recurrence residual reaches the tolerance, and stops only if it
+is below the tolerance too (otherwise the recurrence restarts from it), which
+removes any drift or preconditioner-norm ambiguity from the convergence test.
 """
 
 from __future__ import annotations
@@ -48,16 +54,59 @@ def floating_components(matrix) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.flatnonzero(worst <= 1e-12 * diag_scale)
 
 
+def independent_rows(matrix) -> np.ndarray:
+    """Sorted rows whose (degree, index) is below that of every neighbour.
+
+    The degree counts a row's stored off-diagonal entries.  Of any two
+    coupled rows only the one with the smaller pair can be chosen, so the
+    chosen rows are pairwise non-adjacent: their diagonal block is diagonal.
+    Returns an empty array for a matrix with no rows.
+    """
+    csr = _as_csr(matrix)
+    n = csr.shape[0]
+    row_of = np.repeat(np.arange(n), np.diff(csr.indptr))
+    off = csr.indices != row_of
+    rows, cols = row_of[off], csr.indices[off]
+    key = np.bincount(rows, minlength=n) * n + np.arange(n)
+    chosen = np.ones(n, dtype=bool)
+    # Of each coupled pair, the row with the larger key is out.
+    chosen[np.where(key[cols] < key[rows], rows, cols)] = False
+    return np.flatnonzero(chosen)
+
+
+def _splu(csc):
+    # SPD-friendly settings: symmetric fill-reducing ordering, no pivoting.
+    return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
 class KbarFactor:
     """Exact sparse factorization handle supporting repeated solves.
 
     Rejects singular input up front: a floating component of the matrix graph
     (see ``floating_components``) has its indicator in the nullspace.
+
+    The matrix must be symmetric.  When ``independent_rows`` picks at least
+    half of its rows (the leaves, I) and their diagonal is positive, the
+    factor is the exact block elimination of
+
+        [[D, B], [B^T, C]]  with D = diag(A_II), B = A_IC, C = A_CC:
+
+    it keeps 1/D and B and gives SuperLU only the Schur complement
+    S = C - B^T D^-1 B on the remaining rows C.  A solve is then
+    x_C = S^-1 (r_C - B^T D^-1 r_I) and x_I = D^-1 (r_I - B x_C), the same
+    SPD operator as a factor of the whole matrix in exact arithmetic.  On
+    Kbar of an order-2 mesh the leaves are exactly the nodes that are never a
+    star centre.  Otherwise (every K, and Kbar for order 1, where under 2% of
+    rows qualify) the whole matrix is factored as before.  ``eliminated``
+    counts the rows eliminated ahead of SuperLU (0 on that path).
     """
 
     def __init__(self, matrix):
         csr = _as_csr(matrix)
         self.n = csr.shape[0]
+        self.eliminated = 0
+        self._leaves = None
         if self.n == 0:
             self._lu = None
             return
@@ -71,12 +120,42 @@ class KbarFactor:
                 f"{'...' if len(members) > 8 else ''}) has no constrained node",
                 component=members,
             )
-        csc = csr.tocsc()
-        self._csc = csc
-        # SPD-friendly settings: symmetric fill-reducing ordering, no pivoting.
-        self._lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A",
-                             diag_pivot_thresh=0.0,
-                             options={"SymmetricMode": True})
+        leaves = independent_rows(csr)
+        diag = csr.diagonal()[leaves]
+        if 2 * leaves.size < self.n or not (diag > 0).all():
+            self._matrix = csr.tocsc()
+            self._lu = _splu(self._matrix)
+            return
+        self.eliminated = leaves.size
+        keep = np.ones(self.n, dtype=bool)
+        keep[leaves] = False
+        self._leaves, self._centres = leaves, np.flatnonzero(keep)
+        self._inv_diag = 1.0 / diag
+        self._coupling = csr[leaves][:, self._centres]
+        self._matrix = csr
+        self._lu = None
+        if self._centres.size:
+            schur = (csr[self._centres][:, self._centres]
+                     - self._coupling.T @ (sp.diags(self._inv_diag)
+                                           @ self._coupling))
+            self._lu = _splu(schur.tocsc())
+
+    @property
+    def lu_entries(self) -> int:
+        """Entries of SuperLU's L and U (0 when nothing was left to factor)."""
+        return 0 if self._lu is None else self._lu.L.nnz + self._lu.U.nnz
+
+    def _apply(self, rhs: np.ndarray) -> np.ndarray:
+        if self._leaves is None:
+            return self._lu.solve(rhs)
+        y = self._inv_diag * rhs[self._leaves]
+        x = np.empty(self.n)
+        if self._lu is not None:
+            x_c = self._lu.solve(rhs[self._centres] - self._coupling.T @ y)
+            x[self._centres] = x_c
+            y -= self._inv_diag * (self._coupling @ x_c)
+        x[self._leaves] = y
+        return x
 
     def solve(self, rhs: np.ndarray, *, refine: bool = True) -> np.ndarray:
         """Kbar^-1 rhs; ``refine=False`` skips the refinement step.
@@ -86,11 +165,12 @@ class KbarFactor:
         """
         if self.n == 0:
             return np.zeros(0)
-        x = self._lu.solve(rhs)
+        x = self._apply(rhs)
         if refine:
-            # One refinement step keeps the solve residual at the 1e-12
-            # contract even for ill-scaled diagonals.
-            x += self._lu.solve(rhs - self._csc @ x)
+            # One refinement step against the original matrix keeps the
+            # solve residual at the 1e-12 contract even for ill-scaled
+            # diagonals.
+            x += self._apply(rhs - self._matrix @ x)
         return x
 
 

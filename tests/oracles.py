@@ -234,3 +234,19 @@ def dict_star_laplacian(n, elements, scalars):
             if tail < n and head < n:
                 add(tail, head, -s)
     return _upper_dict_to_csr(n, upper)
+
+
+def coo_mirrored_csr(n, rows, cols, vals):
+    """Symmetric CSR from upper-triangle triplets by two COO -> CSR passes.
+
+    The first pass sums duplicates; the second converts the upper entries
+    plus a copy of each strictly upper one below the diagonal, and sorts
+    every row.
+    """
+    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr().tocoo()
+    off = upper.row != upper.col
+    return sp.csr_matrix(
+        (np.concatenate([upper.data, upper.data[off]]),
+         (np.concatenate([upper.row, upper.col[off]]),
+          np.concatenate([upper.col, upper.row[off]]))),
+        shape=(n, n))

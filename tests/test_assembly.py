@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 
 import ddfem
+from ddfem import assembly
 from ddfem.assembly import SparseSymmetricMatrix, reference_tables
 from ddfem.errors import ElementOrientationError, MeshFormatError
 
-from oracles import exact_p1_element_stiffness, transpose_matmul_stiffness
+from oracles import (
+    coo_mirrored_csr,
+    exact_p1_element_stiffness,
+    transpose_matmul_stiffness,
+)
 
 UNIT_TRIANGLE_K = np.array([
     [1.0, -0.5, -0.5],
@@ -270,6 +275,36 @@ def test_exact_symmetry_of_assembled_matrix():
         mesh, ddfem.ConductivityField.from_expression("1 + x**2 + 0.5*y"))
     k = system.stiffness.csr
     assert (k != k.T).nnz == 0
+
+
+@pytest.mark.parametrize("kind,p", [("square", 1), ("square", 2),
+                                    ("cube", 1), ("cube", 2)])
+def test_mirrored_csr_matches_coo_oracle(monkeypatch, kind, p):
+    # The triplets K and Kbar are built from, mirrored both ways: the CSR
+    # arrays must agree bit for bit, explicit zeros (entries that sum to
+    # exactly 0, as on the right-angled p=1 square) included.
+    calls = []
+    mirrored = assembly._mirrored_csr
+
+    def spy(n, rows, cols, vals):
+        calls.append((n, rows, cols, vals))
+        return mirrored(n, rows, cols, vals)
+
+    monkeypatch.setattr(assembly, "_mirrored_csr", spy)
+    gen = ddfem.gen_structured_square if kind == "square" else ddfem.gen_structured_cube
+    mesh = gen(6 if kind == "square" else 3, p=p)
+    system = ddfem.build_system(mesh, ddfem.ConductivityField.from_expression("1 + x*y"))
+    system.stiffness, system.kbar
+    assert len(calls) == 2
+    zeros = 0
+    for n, rows, cols, vals in calls:
+        got, want = mirrored(n, rows, cols, vals), coo_mirrored_csr(n, rows, cols, vals)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        zeros += int((want.data == 0).sum())
+    if (kind, p) == ("square", 1):
+        assert zeros > 0
 
 
 def test_reference_tables_shapes():

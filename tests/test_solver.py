@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 import ddfem
 from ddfem.assembly import SparseSymmetricMatrix
 from ddfem.errors import SingularSystemError
-from ddfem.solver import cg_iteration_bound, factor_kbar, pcg_solve
+from ddfem.solver import (
+    cg_iteration_bound,
+    factor_kbar,
+    independent_rows,
+    pcg_solve,
+)
 
 from conftest import jump_conductivity
 
@@ -262,3 +269,142 @@ def test_unrefined_preconditioner_keeps_iterations():
     assert lean.iterations == refined.iterations
     assert (np.linalg.norm(lean.x - refined.x)
             <= 1e-12 * np.linalg.norm(refined.x))
+
+
+class _PlainLU:
+    """SuperLU on the whole matrix with the factor's settings, no elimination."""
+
+    def __init__(self, matrix):
+        self.csc = sp.csc_matrix(matrix)
+        self.lu = spla.splu(self.csc, permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+
+    def solve(self, rhs, *, refine=True):
+        x = self.lu.solve(rhs)
+        if refine:
+            x += self.lu.solve(rhs - self.csc @ x)
+        return x
+
+
+def _p2_square_problem():
+    mesh = ddfem.gen_structured_square(16, p=2)
+    system = ddfem.build_system(mesh)
+    return system, ddfem.assemble_load(mesh, system.ref, system.rule,
+                                       system.theta, 1.0,
+                                       geometries=system.geometries)
+
+
+def _p2_cube_jump_problem():
+    system, rhs, _ = _jump_cube_problem(4)
+    return system, rhs
+
+
+@pytest.mark.parametrize("problem", [_p2_square_problem, _p2_cube_jump_problem])
+def test_leaf_elimination_matches_plain_lu(problem):
+    system, rhs = problem()
+    kbar = system.kbar
+    handle = factor_kbar(kbar)
+    plain = _PlainLU(kbar.csr)
+    # The star leaves: every node that is not a star centre.
+    assert handle.eliminated >= kbar.n // 2
+    assert 0 < handle.lu_entries < plain.lu.L.nnz + plain.lu.U.nnz
+    rng = np.random.default_rng(7)
+    for r in [rhs, *rng.standard_normal((3, kbar.n))]:
+        got = handle.solve(r, refine=False)
+        want = plain.solve(r, refine=False)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        x = handle.solve(r)
+        assert np.linalg.norm(kbar @ x - r) <= 1e-12 * np.linalg.norm(r)
+    ours = pcg_solve(system.stiffness, rhs, preconditioner=handle, tol=1e-10)
+    theirs = pcg_solve(system.stiffness, rhs, preconditioner=plain, tol=1e-10)
+    assert ours.converged and theirs.converged
+    assert ours.iterations == theirs.iterations
+
+
+def _plain_path_matrices():
+    mesh = ddfem.gen_structured_square(8, p=1)
+    system = ddfem.build_system(mesh, jump_conductivity(mesh))
+    cube = ddfem.build_system(ddfem.gen_structured_cube(3, p=2))
+    # A leaf with a negative diagonal keeps the whole-matrix factor too.
+    indefinite = sp.csr_matrix(np.array([[-1.0, 1.0], [1.0, 2.0]]))
+    return [system.kbar, system.stiffness, cube.stiffness, indefinite]
+
+
+def test_plain_path_is_bitwise_plain_lu():
+    rng = np.random.default_rng(3)
+    for matrix in _plain_path_matrices():
+        handle = factor_kbar(matrix)
+        plain = _PlainLU(matrix.csr if hasattr(matrix, "csr") else matrix)
+        assert handle.eliminated == 0
+        r = rng.standard_normal(handle.n)
+        for refine in (False, True):
+            np.testing.assert_array_equal(handle.solve(r, refine=refine),
+                                          plain.solve(r, refine=refine))
+
+
+def _adjacent(csr, rows):
+    inside = np.zeros(csr.shape[0], dtype=bool)
+    inside[rows] = True
+    coo = csr.tocoo()
+    off = coo.row != coo.col
+    return bool((inside[coo.row[off]] & inside[coo.col[off]]).any())
+
+
+@st.composite
+def sddm_with_leaves(draw):
+    """A weighted Laplacian plus a positive diagonal, with many small leaves."""
+    n_core = draw(st.integers(1, 8))
+    n_leaf = draw(st.integers(0, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = n_core + n_leaf
+    edges = [(i, j) for i in range(n_core) for j in range(i + 1, n_core)
+             if rng.random() < 0.4]
+    for leaf in range(n_core, n):
+        # Degree-1 and degree-2 leaves hang off the core nodes.
+        for j in rng.choice(n_core, size=min(n_core, rng.integers(1, 3)),
+                            replace=False):
+            edges.append((int(j), leaf))
+    lap = np.zeros((n, n))
+    for i, j in edges:
+        w = rng.uniform(0.1, 10.0)
+        lap[i, j] = lap[j, i] = -w
+        lap[i, i] += w
+        lap[j, j] += w
+    return lap + np.diag(rng.uniform(1e-2, 1.0, n)), rng.standard_normal(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sddm_with_leaves())
+def test_elimination_on_random_sddm(case):
+    dense, rhs = case
+    csr = sp.csr_matrix(dense)
+    chosen = independent_rows(csr)
+    assert not _adjacent(csr, chosen)
+    handle = factor_kbar(csr)
+    assert handle.eliminated == (chosen.size if 2 * chosen.size >= len(rhs) else 0)
+    want = np.linalg.solve(dense, rhs)
+    got = handle.solve(rhs, refine=False)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_diagonal_matrix_needs_no_schur_factor():
+    diag = np.array([2.0, 4.0, 0.5, 8.0])
+    handle = factor_kbar(SparseSymmetricMatrix(4, {(i, i): v for i, v in enumerate(diag)}))
+    assert handle.eliminated == 4
+    assert handle.lu_entries == 0
+    np.testing.assert_array_equal(handle.solve(diag), np.ones(4))
+
+
+def test_empty_factor_eliminates_nothing():
+    handle = factor_kbar(SparseSymmetricMatrix(0, {}))
+    assert handle.eliminated == 0 and handle.lu_entries == 0
+
+
+def test_floating_p2_mesh_still_raises():
+    # Most of its rows are star leaves, but the floating check comes first.
+    system = ddfem.build_system(ddfem.gen_structured_square(2, p=2, dirichlet="none"))
+    assert 2 * independent_rows(system.kbar).size >= system.kbar.n
+    with pytest.raises(SingularSystemError):
+        factor_kbar(system.kbar)
