@@ -79,6 +79,11 @@ class SparseSymmetricMatrix:
         self.n = n
         self.csr = _mirrored_csr(n, keys[:, 0], keys[:, 1], vals)
 
+    @staticmethod
+    def index_dtype(n: int) -> type:
+        """Triplet index type for node indices below n: int32, as scipy stores them."""
+        return np.int32 if n < 2 ** 31 else np.int64
+
     @classmethod
     def from_upper(cls, n: int, rows, cols, vals) -> "SparseSymmetricMatrix":
         """Sum (row, col, value) triplets with row <= col; duplicates add up."""
@@ -239,32 +244,60 @@ def element_stiffness(geom: ElementGeometry, ref: ReferenceElement,
     its default two threads, which took 6-8 ms against under 1 ms stacked
     for m = 8192 (2 vCPUs), and leaves a woken thread pool that slows the
     layers after it.
+
+    Each metric entry is summed over the rows of J^-T as x0*y0 + x1*y1
+    (+ x2*y2), so no gathered (m, q, d, P) stack is formed.  Columns (a, b)
+    and (b, a) of the reference tensor hold the same two products, so the
+    product is bitwise symmetric (checked against the averaging oracle of the
+    tests), and each block is made exactly symmetric by copying its upper
+    triangle onto the lower one in place, with no (m, l, l) temporary.  The
+    product keeps all l*l columns: one over only the l(l+1)/2 upper columns
+    takes another BLAS loop and moved p = 2 entries in the last bit.
     """
     _, grads = tables if tables is not None else reference_tables(ref, rule)
     inv_t = geom.inverse_transposes                          # (m, q, d, d)
     m, q, d, _ = inv_t.shape
     l = grads.shape[1]
     iu, ju = np.triu_indices(d)
-    metric = (inv_t[..., iu] * inv_t[..., ju]).sum(axis=-2)  # (m, q, P)
     w = rule.weights * geom.theta_vals * geom.dets           # (m, q)
-    coef = (w[..., None] * metric).reshape(m, 1, -1)
+    # Entry-major, the layout a ``.sum(axis=-2)`` over gathered columns
+    # gives: numpy's matmul picks its loop, and so its summation order, from
+    # the operand strides, and for a one-point rule the reshape below is a
+    # strided view, not a copy.
+    coef = np.empty((len(iu), m, q)).transpose(1, 2, 0)      # (m, q, P)
+    for e, (i, j) in enumerate(zip(iu, ju)):
+        entry = inv_t[..., 0, i] * inv_t[..., 0, j]
+        for r in range(1, d):
+            entry += inv_t[..., r, i] * inv_t[..., r, j]
+        np.multiply(w, entry, out=coef[..., e])
+    coef = coef.reshape(m, 1, -1)
     outer = grads[:, :, None, :, None] * grads[:, None, :, None, :]  # (q, l, l, d, d)
     tensor = outer[..., iu, ju] + np.where(iu != ju, outer[..., ju, iu], 0.0)
     out = (coef @ tensor.transpose(0, 3, 1, 2).reshape(-1, l * l)).reshape(m, l, l)
-    # Averaging with the transpose makes every block exactly symmetric.
-    return 0.5 * (out + out.swapaxes(1, 2))
+    for a, b in zip(*np.triu_indices(l, 1)):
+        out[:, b, a] = out[:, a, b]
+    return out
 
 
 def assemble_global(mesh: Mesh, element_k: np.ndarray) -> SparseSymmetricMatrix:
     """Sum the element matrices into the reduced matrix over the non-Dirichlet nodes."""
     n = mesh.n_free
-    ids = mesh.elements
-    a, b = np.triu_indices(ids.shape[1])
-    rows, cols, vals = ids[:, a], ids[:, b], element_k[:, a, b]
-    keep = (rows < n) & (cols < n)
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    return SparseSymmetricMatrix.from_upper(
-        n, np.minimum(rows, cols), np.maximum(rows, cols), vals)
+    ids = mesh.elements.astype(SparseSymmetricMatrix.index_dtype(mesh.n_nodes),
+                               copy=False)
+    l = ids.shape[1]
+    # Local pairs a <= b of free nodes, element by element in row-major order.
+    free = ids < n
+    keep = free[:, :, None] & free[:, None, :]
+    keep &= np.triu(np.ones((l, l), dtype=bool))
+    rows = np.broadcast_to(ids[:, :, None], keep.shape)[keep]
+    cols = np.broadcast_to(ids[:, None, :], keep.shape)[keep]
+    vals = element_k[keep]
+    # Only the triplets reach the mirror, which allocates the CSR arrays.
+    del free, keep
+    lo = np.minimum(rows, cols)
+    np.maximum(rows, cols, out=cols)
+    del rows
+    return SparseSymmetricMatrix.from_upper(n, lo, cols, vals)
 
 
 def assemble_load(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import pipeline
@@ -348,11 +349,8 @@ def _cmd_verify(cfg) -> int:
     return EXIT_VERIFY
 
 
-def _cmd_solve(cfg) -> int:
-    tol = _floatval(cfg, "tol", 1e-10)
-    if tol <= 0.0:
-        raise UnsupportedConfigError(f"tol must be positive, got {tol!r}")
-    max_iter = _intval(cfg, "max_iter", least=1)
+def _solve_operands(cfg):
+    """K, Kbar and the load vector of the configured problem."""
     mesh = _resolve_mesh(cfg)
     if mesh.n_free == mesh.n_nodes:
         raise SingularSystemError(
@@ -360,25 +358,35 @@ def _cmd_solve(cfg) -> int:
     theta = _resolve_theta(cfg, mesh)
     rule = _resolve_rule(cfg, mesh)
     system = pipeline.build_system(mesh, theta, rule)
-    # K is assembled before Kbar is factored, so its assembly temporaries
-    # are freed before the LU factor is allocated.
     stiffness = system.stiffness
     kbar = system.kbar
     rhs = assemble_load(mesh, system.ref, rule, theta, _resolve_source(cfg),
                         geometries=system.geometries,
                         element_k=system.element_stiffness)
+    return stiffness, kbar, rhs
+
+
+def _cmd_solve(cfg) -> int:
+    tol = _floatval(cfg, "tol", 1e-10)
+    if tol <= 0.0:
+        raise UnsupportedConfigError(f"tol must be positive, got {tol!r}")
+    max_iter = _intval(cfg, "max_iter", least=1)
+    # Only K, Kbar and the load vector outlive _solve_operands: the system's
+    # geometry, element matrices, incidence and Dbar are freed before the
+    # Kbar factor and PCG allocate theirs.
+    stiffness, kbar, rhs = _solve_operands(cfg)
     handle = factor_kbar(kbar)
     pre = pcg_solve(stiffness, rhs, preconditioner=handle, tol=tol,
                     max_iter=max_iter)
 
-    lines = [f"ddfem-solution v1 n={stiffness.n}"]
-    lines += [f"x {i + 1} {_fmt17(v)}" for i, v in enumerate(pre.x)]
-    lines += [
-        f"iterations preconditioned {pre.iterations}",
-        f"residual {_fmt17(pre.relative_residual)}",
-        f"converged {1 if pre.converged else 0}",
-    ]
-    Path(cfg["out"]).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    n = stiffness.n
+    values = chain.from_iterable(zip(range(1, n + 1), pre.x.tolist()))
+    text = (f"ddfem-solution v1 n={n}\n"
+            + ("x %d %.17g\n" * n) % tuple(values)
+            + f"iterations preconditioned {pre.iterations}\n"
+            + f"residual {_fmt17(pre.relative_residual)}\n"
+            + f"converged {1 if pre.converged else 0}\n")
+    Path(cfg["out"]).write_text(text, encoding="utf-8")
     sys.stdout.write(f"solve: {pre.iterations} preconditioned iterations, "
                      f"residual {_fmt6(pre.relative_residual)}\n")
     sys.stderr.write(f"wall time {pre.wall_time:.3f}s\n")

@@ -85,14 +85,18 @@ def build_kbar(incidence: IncidenceMatrix, dbar: DbarBlocks) -> SparseSymmetricM
     and mirrored, so the result is exactly symmetric with nonpositive
     off-diagonal entries.
     """
-    tail, head = incidence.arcs[:, 0], incidence.arcs[:, 1]
+    arcs = incidence.arcs.astype(SparseSymmetricMatrix.index_dtype(incidence.n),
+                                 copy=False)
+    tail, head = arcs[:, 0], arcs[:, 1]
     s = np.repeat(dbar.scalars, incidence.l - 1)
-    both = (tail >= 0) & (head >= 0)
-    ends = np.concatenate([tail, head])
-    on_diag = ends >= 0
-    rows = np.concatenate([ends[on_diag], np.minimum(tail, head)[both]])
-    cols = np.concatenate([ends[on_diag], np.maximum(tail, head)[both]])
-    vals = np.concatenate([np.tile(s, 2)[on_diag], -s[both]])
+    has_tail, has_head = tail >= 0, head >= 0
+    both = has_tail & has_head
+    diag = np.concatenate([tail[has_tail], head[has_head]])
+    t, h = tail[both], head[both]
+    rows = np.concatenate([diag, np.minimum(t, h)])
+    cols = np.concatenate([diag, np.maximum(t, h)])
+    vals = np.concatenate([s[has_tail], s[has_head], -s[both]])
+    del arcs, diag, t, h   # only the triplets reach the mirror
     return SparseSymmetricMatrix.from_upper(incidence.n, rows, cols, vals)
 
 

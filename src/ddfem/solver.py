@@ -132,11 +132,13 @@ class KbarFactor:
         self._leaves, self._centres = leaves, np.flatnonzero(keep)
         self._inv_diag = 1.0 / diag
         self._coupling = csr[leaves][:, self._centres]
+        # B^T as a CSC view of B's arrays, built once for every solve.
+        self._coupling_t = self._coupling.T
         self._matrix = csr
         self._lu = None
         if self._centres.size:
             schur = (csr[self._centres][:, self._centres]
-                     - self._coupling.T @ (sp.diags(self._inv_diag)
+                     - self._coupling_t @ (sp.diags(self._inv_diag)
                                            @ self._coupling))
             self._lu = _splu(schur.tocsc())
 
@@ -151,7 +153,7 @@ class KbarFactor:
         y = self._inv_diag * rhs[self._leaves]
         x = np.empty(self.n)
         if self._lu is not None:
-            x_c = self._lu.solve(rhs[self._centres] - self._coupling.T @ y)
+            x_c = self._lu.solve(rhs[self._centres] - self._coupling_t @ y)
             x[self._centres] = x_c
             y -= self._inv_diag * (self._coupling @ x_c)
         x[self._leaves] = y

@@ -250,3 +250,56 @@ def coo_mirrored_csr(n, rows, cols, vals):
          (np.concatenate([upper.row, upper.col[off]]),
           np.concatenate([upper.col, upper.row[off]]))),
         shape=(n, n))
+
+
+def averaged_tensor_stiffness(inv_t, dets, theta, weights, grads):
+    """Element matrices by the reference tensor, made symmetric by averaging.
+
+    The metric entries of J^-1 J^-T are summed over the rows with ``.sum``,
+    weighted, and mapped to each (l, l) block by one stacked product with
+    the reference tensor of the shape gradients; each block is then replaced
+    by 0.5 (K_t + K_t^T).
+    """
+    m, q, d, _ = inv_t.shape
+    l = grads.shape[1]
+    iu, ju = np.triu_indices(d)
+    metric = (inv_t[..., iu] * inv_t[..., ju]).sum(axis=-2)
+    w = weights * theta * dets
+    coef = (w[..., None] * metric).reshape(m, 1, -1)
+    outer = grads[:, :, None, :, None] * grads[:, None, :, None, :]
+    tensor = outer[..., iu, ju] + np.where(iu != ju, outer[..., ju, iu], 0.0)
+    out = (coef @ tensor.transpose(0, 3, 1, 2).reshape(-1, l * l)).reshape(m, l, l)
+    return 0.5 * (out + out.swapaxes(1, 2))
+
+
+def int64_stiffness_triplets(n, elements, element_k):
+    """Upper-triangle triplets (rows, cols, vals) of K, indices as int64.
+
+    Entry (a, b), a <= b, of every element matrix, element by element in
+    row-major order, where both nodes are free (index below n).
+    """
+    ids = np.asarray(elements, dtype=np.int64)
+    a, b = np.triu_indices(ids.shape[1])
+    rows, cols, vals = ids[:, a], ids[:, b], element_k[:, a, b]
+    keep = (rows < n) & (cols < n)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return np.minimum(rows, cols), np.maximum(rows, cols), vals
+
+
+def int64_star_triplets(arcs, scalars, l):
+    """Upper-triangle triplets (rows, cols, vals) of the star Laplacian, int64.
+
+    ``arcs`` holds (tail, head) per arc, -1 for a constrained end, l - 1
+    arcs per element.  First each free tail's and then each free head's
+    diagonal term, then -scalar at (min, max) of every arc with two free ends.
+    """
+    tail, head = (np.asarray(arcs[:, 0], dtype=np.int64),
+                  np.asarray(arcs[:, 1], dtype=np.int64))
+    s = np.repeat(scalars, l - 1)
+    both = (tail >= 0) & (head >= 0)
+    ends = np.concatenate([tail, head])
+    on_diag = ends >= 0
+    rows = np.concatenate([ends[on_diag], np.minimum(tail, head)[both]])
+    cols = np.concatenate([ends[on_diag], np.maximum(tail, head)[both]])
+    vals = np.concatenate([np.tile(s, 2)[on_diag], -s[both]])
+    return rows, cols, vals

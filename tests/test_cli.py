@@ -1,12 +1,13 @@
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 import ddfem
-from ddfem import dd_approx
+from ddfem import cli, dd_approx, pipeline
 from ddfem.assembly import SparseSymmetricMatrix
 from ddfem.cli import main
 
@@ -169,7 +170,11 @@ def test_dbar_and_kbar_built_once_per_command(tmp_path, capsys, monkeypatch,
     ["verify", "--kind", "square", "--k", "6", "--p", "2"],
     ["solve", "--kind", "cube", "--k", "2", "--p", "2", "--theta",
      "expr:1 + 1e4 * (x > 0.5)", "--out", "{out}"],
-], ids=["report-json", "verify", "solve"])
+    ["approx", "--kind", "cube", "--k", "2", "--p", "2", "--theta",
+     "expr:1 + 1e4 * (x > 0.5)", "--out", "{out}"],
+    ["assemble", "--kind", "square", "--k", "6", "--p", "2", "--theta",
+     "expr:1 + x*y", "--out", "{out}"],
+], ids=["report-json", "verify", "solve", "approx", "assemble"])
 def test_repeated_runs_in_one_process_are_identical(tmp_path, capsys, argv):
     # Nothing one run builds may leak into the next run in the same process.
     outputs = []
@@ -180,6 +185,29 @@ def test_repeated_runs_in_one_process_are_identical(tmp_path, capsys, argv):
         assert code == 0
         outputs.append((stdout, out.read_bytes() if out.exists() else None))
     assert outputs[0] == outputs[1]
+
+
+def test_solve_frees_the_system_before_the_factor(tmp_path, capsys, monkeypatch):
+    # Only K, Kbar and the load vector outlive assembly: the geometry, the
+    # element matrices, the incidence and Dbar are gone before the factor.
+    systems, alive = [], []
+    build_system, factor_kbar = pipeline.build_system, cli.factor_kbar
+
+    def build_spy(*args, **kwargs):
+        system = build_system(*args, **kwargs)
+        systems.append(weakref.ref(system))
+        return system
+
+    def factor_spy(kbar):
+        alive.append([ref() is not None for ref in systems])
+        return factor_kbar(kbar)
+
+    monkeypatch.setattr(pipeline, "build_system", build_spy)
+    monkeypatch.setattr(cli, "factor_kbar", factor_spy)
+    code, _, _ = run(capsys, "solve", "--kind", "cube", "--k", "2", "--p", "2",
+                     "--out", str(tmp_path / "x.txt"))
+    assert code == 0
+    assert alive == [[False]]
 
 
 def test_verify_healthy_mesh(capsys):

@@ -1,0 +1,99 @@
+"""K, Kbar and the element matrices against the averaging, int64 oracles.
+
+The builders fill int32 triplets and mirror each element matrix's upper
+triangle in place; the oracles in ``oracles.py`` average each block with its
+transpose and gather int64 triplets.  Every value, index and dtype must agree
+bit for bit, and the builders' scratch memory is bounded.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import ddfem
+from ddfem import assembly, dd_approx
+from ddfem.assembly import reference_tables
+
+from oracles import (
+    averaged_tensor_stiffness,
+    coo_mirrored_csr,
+    int64_star_triplets,
+    int64_stiffness_triplets,
+)
+
+MESHES = {
+    "square-p1": lambda: ddfem.gen_structured_square(6, p=1),
+    "square-p2": lambda: ddfem.gen_structured_square(5, p=2),
+    "cube-p1": lambda: ddfem.gen_structured_cube(3, p=1),
+    "cube-p2": lambda: ddfem.gen_structured_cube(3, p=2),
+    "sheared-square-p1": lambda: ddfem.transform_mesh(
+        ddfem.gen_structured_square(8, p=1),
+        lambda x: np.array([x[0] + 4.0 * x[1], x[1]])),
+    "cube-p2-dirichlet-none": lambda: ddfem.gen_structured_cube(
+        2, p=2, dirichlet="none"),
+}
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_builders_match_averaging_int64_oracles(name):
+    mesh = MESHES[name]()
+    system = ddfem.build_system(
+        mesh, ddfem.ConductivityField.from_expression("1 + 3*x*y + 100*(x > 0.5)"))
+    geom, rule = system.geometries, system.rule
+    want = averaged_tensor_stiffness(geom.inverse_transposes, geom.dets,
+                                     geom.theta_vals, rule.weights,
+                                     reference_tables(system.ref, rule)[1])
+    assert_bitwise(system.element_stiffness, want)
+    n = mesh.n_free
+    inc = system.incidence
+    for got, triplets in (
+            (system.stiffness, int64_stiffness_triplets(n, mesh.elements, want)),
+            (system.kbar, int64_star_triplets(inc.arcs, system.dbar.scalars, inc.l))):
+        ref = coo_mirrored_csr(n, *triplets)
+        for field in ("indptr", "indices", "data"):
+            assert_bitwise(getattr(got.csr, field), getattr(ref, field))
+
+
+def traced_peak(build) -> int:
+    """Bytes allocated at the peak of ``build()`` above its start (tracemalloc)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    build()
+    peak = tracemalloc.get_traced_memory()[1] - start
+    if not tracing:
+        tracemalloc.stop()
+    return peak
+
+
+# Peaks on cube k=4 p=2 (m=384, n=343), in bytes: element_stiffness 474560,
+# assemble_global 392530, build_kbar 207336.  Averaging each block with its
+# transpose peaked at 889488, and int64 triplets at 751696 (K) and 308024
+# (Kbar).
+PEAK_BOUNDS_MIB = {"element_stiffness": 0.60, "assemble_global": 0.55,
+                   "build_kbar": 0.25}
+
+
+def test_builder_scratch_memory_is_bounded():
+    mesh = ddfem.gen_structured_cube(4, p=2)
+    system = ddfem.build_system(mesh)
+    tables = reference_tables(system.ref, system.rule)
+    incidence, dbar = system.incidence, system.dbar
+    peaks = {
+        "element_stiffness": traced_peak(lambda: assembly.element_stiffness(
+            system.geometries, system.ref, system.rule, tables=tables)),
+        "assemble_global": traced_peak(
+            lambda: assembly.assemble_global(mesh, system.element_stiffness)),
+        "build_kbar": traced_peak(lambda: dd_approx.build_kbar(incidence, dbar)),
+    }
+    over = {name: peak for name, peak in peaks.items()
+            if peak > PEAK_BOUNDS_MIB[name] * 2 ** 20}
+    assert not over
