@@ -32,6 +32,9 @@ DEGENERACY_RTOL = 1e-14
 
 MATRIX_HEADER = "ddfem-matrix v1"
 
+# Most elements whose matrices ``assemble_global`` computes at once.
+ASSEMBLY_CHUNK = 512
+
 
 @dataclass(frozen=True, eq=False)
 class ElementGeometry:
@@ -279,21 +282,49 @@ def element_stiffness(geom: ElementGeometry, ref: ReferenceElement,
     return out
 
 
-def assemble_global(mesh: Mesh, element_k: np.ndarray) -> SparseSymmetricMatrix:
-    """Sum the element matrices into the reduced matrix over the non-Dirichlet nodes."""
+def assemble_global(mesh: Mesh, geometries: ElementGeometry,
+                    ref: ReferenceElement, rule: QuadratureRule,
+                    tables=None) -> SparseSymmetricMatrix:
+    """The reduced stiffness matrix over the non-Dirichlet nodes.
+
+    The element matrices are computed here, in chunks of at most
+    ``ASSEMBLY_CHUNK`` elements, and each chunk's upper-triangle entries of
+    free node pairs are copied straight into the triplet values: no
+    (m, l, l) stack is formed.  The triplets are element-major and row-major
+    within each element, and each block is bitwise the one
+    ``element_stiffness`` gives for the whole mesh, so K does not depend on
+    the chunk size.
+    """
+    if tables is None:
+        tables = reference_tables(ref, rule)
     n = mesh.n_free
     ids = mesh.elements.astype(SparseSymmetricMatrix.index_dtype(mesh.n_nodes),
                                copy=False)
-    l = ids.shape[1]
+    m, l = ids.shape
     # Local pairs a <= b of free nodes, element by element in row-major order.
     free = ids < n
     keep = free[:, :, None] & free[:, None, :]
     keep &= np.triu(np.ones((l, l), dtype=bool))
+    del free
     rows = np.broadcast_to(ids[:, :, None], keep.shape)[keep]
     cols = np.broadcast_to(ids[:, None, :], keep.shape)[keep]
-    vals = element_k[keep]
+    vals = np.empty(rows.size)
+    # Equal chunks: a one-element stack has a unit-stride coefficient row,
+    # for which matmul takes another loop and moves p = 1 3D entries in the
+    # last bit.
+    chunks = -(-m // ASSEMBLY_CHUNK)
+    end = 0
+    for c in range(chunks):
+        part = slice(m * c // chunks, m * (c + 1) // chunks)
+        stop = end + np.count_nonzero(keep[part])
+        vals[end:stop] = element_stiffness(ElementGeometry(
+            jacobians=geometries.jacobians[part],
+            inverse_transposes=geometries.inverse_transposes[part],
+            dets=geometries.dets[part], theta_vals=geometries.theta_vals[part]),
+            ref, rule, tables=tables)[keep[part]]
+        end = stop
     # Only the triplets reach the mirror, which allocates the CSR arrays.
-    del free, keep
+    del keep
     lo = np.minimum(rows, cols)
     np.maximum(rows, cols, out=cols)
     del rows

@@ -361,8 +361,7 @@ def _solve_operands(cfg):
     stiffness = system.stiffness
     kbar = system.kbar
     rhs = assemble_load(mesh, system.ref, rule, theta, _resolve_source(cfg),
-                        geometries=system.geometries,
-                        element_k=system.element_stiffness)
+                        geometries=system.geometries)
     return stiffness, kbar, rhs
 
 
@@ -372,8 +371,8 @@ def _cmd_solve(cfg) -> int:
         raise UnsupportedConfigError(f"tol must be positive, got {tol!r}")
     max_iter = _intval(cfg, "max_iter", least=1)
     # Only K, Kbar and the load vector outlive _solve_operands: the system's
-    # geometry, element matrices, incidence and Dbar are freed before the
-    # Kbar factor and PCG allocate theirs.
+    # geometry, incidence and Dbar are freed before the Kbar factor and PCG
+    # allocate theirs.
     stiffness, kbar, rhs = _solve_operands(cfg)
     handle = factor_kbar(kbar)
     pre = pcg_solve(stiffness, rhs, preconditioner=handle, tol=tol,

@@ -100,6 +100,17 @@ def build_kbar(incidence: IncidenceMatrix, dbar: DbarBlocks) -> SparseSymmetricM
     return SparseSymmetricMatrix.from_upper(incidence.n, rows, cols, vals)
 
 
+def _scaled_blocks(factors: ElementFactors, dbar: DbarBlocks,
+                   rows=slice(None)) -> np.ndarray:
+    """diag(d)^(1/2) j / sqrt(scalar) of the selected elements, in one buffer.
+
+    Elementwise, so a block is bitwise the same whichever rows are selected.
+    """
+    scaled = np.sqrt(factors.d_diag[rows])[:, :, None] * factors.j[rows]
+    scaled /= np.sqrt(dbar.scalars[rows])[:, None, None]
+    return scaled
+
+
 def build_h_blocks(factors: ElementFactors, dbar: DbarBlocks) -> HBlocks:
     """Normalized middle blocks: scaled j with the diagonal replacement pulled out.
 
@@ -122,9 +133,9 @@ def build_h_blocks(factors: ElementFactors, dbar: DbarBlocks) -> HBlocks:
     block diagonal, the global condition number is the worst squared
     singular value over all blocks divided by the best.
     """
-    scaled = (np.sqrt(factors.d_diag)[:, :, None] * factors.j
-              / np.sqrt(dbar.scalars)[:, None, None])
+    scaled = _scaled_blocks(factors, dbar)
     h = scaled.swapaxes(1, 2) @ scaled
+    del scaled   # rebuilt below only for the blocks that need an SVD
     finite = np.isfinite(h).all(axis=(1, 2))
     lam = np.full(h.shape[:2], np.nan)
     # h[finite] is a copy of the whole stack; most stacks need none.
@@ -133,8 +144,8 @@ def build_h_blocks(factors: ElementFactors, dbar: DbarBlocks) -> HBlocks:
     redo = finite & ~((lam[:, 0] > 0.0)
                       & (lam[:, -1] <= GRAM_KAPPA_LIMIT * lam[:, 0]))
     if redo.any():
-        s = np.linalg.svd(scaled[redo], compute_uv=False)
-        rank_tol = scaled.shape[1] * np.finfo(float).eps * s[:, 0]
+        s = np.linalg.svd(_scaled_blocks(factors, dbar, redo), compute_uv=False)
+        rank_tol = factors.j.shape[1] * np.finfo(float).eps * s[:, 0]
         smax[redo] = s[:, 0]
         smin[redo] = np.where(s[:, -1] > rank_tol, s[:, -1], 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):

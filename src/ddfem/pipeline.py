@@ -27,12 +27,14 @@ from .reference_element import ReferenceElement, SqpMatrix, build_sqp, make_refe
 class AssembledSystem:
     """Everything derived from one (mesh, conductivity, rule) triple.
 
-    The geometry, the element matrices and ``alpha`` (which ``Kbar`` needs)
-    are computed up front.  The reduced ``stiffness`` K, the star
-    ``incidence``, the full ``factors`` (beta, the weights and the j stack),
-    the diagonal replacement ``dbar`` and ``kbar`` = A^T Dbar A are built on
-    first use and kept on the instance: a solve never builds the factors,
-    and a report builds neither K, the incidence nor Kbar.
+    The geometry and ``alpha`` (which ``Kbar`` needs) are computed up front.
+    The reduced ``stiffness`` K, the dense ``element_stiffness`` stack, the
+    star ``incidence``, the full ``factors`` (beta, the weights and the j
+    stack), the diagonal replacement ``dbar`` and ``kbar`` = A^T Dbar A are
+    built on first use and kept on the instance: a solve never builds the
+    factors, a report builds neither K, the incidence nor Kbar, and only
+    the factorization identity check reads the element stack (K is summed
+    from element blocks computed in chunks, see ``assemble_global``).
     """
 
     mesh: Mesh
@@ -40,14 +42,21 @@ class AssembledSystem:
     rule: QuadratureRule
     theta: ConductivityField
     sqp: SqpMatrix
+    tables: tuple                    # (q, l) shape values, (q, l, d) gradients
     geometries: assembly.ElementGeometry
-    element_stiffness: np.ndarray    # (m, l, l) dense element matrices
     alpha: np.ndarray                # (m,) max compression per element
 
     @cached_property
     def stiffness(self) -> SparseSymmetricMatrix:
         """The reduced n x n stiffness matrix K."""
-        return assembly.assemble_global(self.mesh, self.element_stiffness)
+        return assembly.assemble_global(self.mesh, self.geometries, self.ref,
+                                        self.rule, tables=self.tables)
+
+    @cached_property
+    def element_stiffness(self) -> np.ndarray:
+        """The (m, l, l) dense element matrices."""
+        return assembly.element_stiffness(self.geometries, self.ref, self.rule,
+                                          tables=self.tables)
 
     @cached_property
     def incidence(self) -> factorization.IncidenceMatrix:
@@ -71,7 +80,7 @@ class AssembledSystem:
 
 def build_system(mesh: Mesh, theta: ConductivityField | None = None,
                  rule: QuadratureRule | None = None) -> AssembledSystem:
-    """Geometry, element matrices and alpha of a mesh; K and the rest on first use."""
+    """Geometry and alpha of a mesh; K and the rest on first use."""
     if theta is None:
         theta = conductivity_from_mesh(mesh)
     if rule is None:
@@ -80,11 +89,9 @@ def build_system(mesh: Mesh, theta: ConductivityField | None = None,
     sqp = build_sqp(ref, rule)
     tables = assembly.reference_tables(ref, rule)
     geometries = assembly.element_geometry(mesh, ref, rule, theta, tables=tables)
-    element_k = assembly.element_stiffness(geometries, ref, rule, tables=tables)
     return AssembledSystem(
-        mesh=mesh, ref=ref, rule=rule, theta=theta, sqp=sqp,
-        geometries=geometries, element_stiffness=element_k,
-        alpha=factorization.element_alpha(geometries),
+        mesh=mesh, ref=ref, rule=rule, theta=theta, sqp=sqp, tables=tables,
+        geometries=geometries, alpha=factorization.element_alpha(geometries),
     )
 
 

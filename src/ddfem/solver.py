@@ -210,6 +210,17 @@ def _ritz_from_coefficients(alphas, betas) -> np.ndarray | None:
     return eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    # numpy's own summation loop, not BLAS ddot: OpenBLAS splits a long dot
+    # over its threads and adds the partial sums in an order that depends on
+    # the thread count, so the iterates would depend on OPENBLAS_NUM_THREADS.
+    return float(np.einsum("i,i->", u, v))
+
+
+def _norm(u: np.ndarray) -> float:
+    return math.sqrt(_dot(u, u))
+
+
 def pcg_solve(stiffness, rhs: np.ndarray, preconditioner: KbarFactor | None = None,
               tol: float = 1e-10, max_iter: int | None = None) -> SolveResult:
     """Preconditioned conjugate gradients that report the true residual.
@@ -238,7 +249,7 @@ def pcg_solve(stiffness, rhs: np.ndarray, preconditioner: KbarFactor | None = No
         max_iter = max(10 * n, 100)
     start = time.perf_counter()
 
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = _norm(rhs)
     if n == 0 or rhs_norm == 0.0:
         return SolveResult(x=np.zeros(n), iterations=0, relative_residual=0.0,
                            converged=True, residual_history=[],
@@ -253,7 +264,7 @@ def pcg_solve(stiffness, rhs: np.ndarray, preconditioner: KbarFactor | None = No
     r = rhs.copy()
     z = precondition(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     history: list[float] = []
     alphas: list[float] = []
     betas: list[float] = []
@@ -262,7 +273,7 @@ def pcg_solve(stiffness, rhs: np.ndarray, preconditioner: KbarFactor | None = No
 
     for _ in range(max_iter):
         ap = a @ p
-        pap = float(p @ ap)
+        pap = _dot(p, ap)
         if pap <= 0.0:
             break
         alpha = rz / pap
@@ -270,16 +281,16 @@ def pcg_solve(stiffness, rhs: np.ndarray, preconditioner: KbarFactor | None = No
         x += alpha * p
         r -= alpha * ap
         iterations += 1
-        res = float(np.linalg.norm(r)) / rhs_norm
+        res = _norm(r) / rhs_norm
         if res <= tol:
             r = rhs - a @ x
-            res = float(np.linalg.norm(r)) / rhs_norm
+            res = _norm(r) / rhs_norm
             converged = res <= tol
         history.append(res)
         if converged:
             break
         z = precondition(r)
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         beta = rz_new / rz
         betas.append(beta)
         p = z + beta * p
@@ -287,7 +298,7 @@ def pcg_solve(stiffness, rhs: np.ndarray, preconditioner: KbarFactor | None = No
 
     # With no step taken x is still zero, whose residual is rhs itself.
     final = (history[-1] if converged
-             else float(np.linalg.norm(rhs - a @ x)) / rhs_norm)
+             else _norm(rhs - a @ x) / rhs_norm)
     if history:
         history[-1] = final
     ritz = _ritz_from_coefficients(alphas, betas[:max(len(alphas) - 1, 0)])

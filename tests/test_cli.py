@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,21 +122,64 @@ def test_report_deterministic(tmp_path, capsys):
     assert first == second
 
 
-def test_report_assembles_neither_k_nor_kbar(capsys, monkeypatch):
-    # The report's numbers come from element data alone.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("report must not assemble K or Kbar")
-
-    originals = (ddfem.assembly.assemble_global, dd_approx.build_kbar)
+def replace_everywhere(monkeypatch, fn, replacement):
+    """Rebind ``fn`` to ``replacement`` in every ddfem module that binds it."""
     for module in [m for name, m in sys.modules.items()
                    if name == "ddfem" or name.startswith("ddfem.")]:
         for attr, value in list(vars(module).items()):
-            if any(value is fn for fn in originals):
-                monkeypatch.setattr(module, attr, forbidden)
+            if value is fn:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+def test_report_assembles_neither_k_nor_kbar(capsys, monkeypatch):
+    # The report's numbers come from element data alone: it builds neither
+    # K, Kbar nor the element stiffness matrices.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("report must not build K, Kbar or element matrices")
+
+    for fn in (ddfem.assembly.assemble_global, ddfem.assembly.element_stiffness,
+               dd_approx.build_kbar):
+        replace_everywhere(monkeypatch, fn, forbidden)
     code, js, _ = run(capsys, "report", "--kind", "square", "--k", "4",
                       "--p", "2", "--format", "json")
     assert code == 0
     assert json.loads(js)["n"] == ddfem.gen_structured_square(4, p=2).n_free
+
+
+def test_solve_computes_element_matrices_in_chunks(tmp_path, capsys, monkeypatch):
+    # K is summed from element blocks computed a bounded chunk at a time,
+    # each element exactly once; no (m, l, l) stack is built.
+    sizes = []
+    element_stiffness = ddfem.assembly.element_stiffness
+
+    def spy(geom, *args, **kwargs):
+        sizes.append(geom.dets.shape[0])
+        return element_stiffness(geom, *args, **kwargs)
+
+    replace_everywhere(monkeypatch, element_stiffness, spy)
+    code, _, _ = run(capsys, "solve", "--kind", "cube", "--k", "6", "--p", "2",
+                     "--out", str(tmp_path / "x.txt"))
+    assert code == 0
+    assert len(sizes) >= 3
+    assert max(sizes) <= ddfem.assembly.ASSEMBLY_CHUNK
+    assert sum(sizes) == ddfem.gen_structured_cube(6, p=2).n_elements
+
+
+def test_solve_output_independent_of_blas_threads(tmp_path):
+    # n = 10609: long enough for OpenBLAS to split a dot product over two
+    # threads, which would change the summation order of PCG's reductions.
+    src = Path(ddfem.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"x{threads}.txt"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "ddfem.cli", "solve", "--kind",
+                        "square", "--k", "52", "--p", "2", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("argv,kbar_calls", [
@@ -152,13 +198,9 @@ def test_dbar_and_kbar_built_once_per_command(tmp_path, capsys, monkeypatch,
             return fn(*args, **kwargs)
         return wrapper
 
-    originals = {name: getattr(dd_approx, name) for name in calls}
-    for module in [m for name, m in sys.modules.items()
-                   if name == "ddfem" or name.startswith("ddfem.")]:
-        for attr, value in list(vars(module).items()):
-            for name, fn in originals.items():
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counting(name, fn))
+    for name in calls:
+        fn = getattr(dd_approx, name)
+        replace_everywhere(monkeypatch, fn, counting(name, fn))
     argv = [str(tmp_path / "out.txt") if a == "{out}" else a for a in argv]
     code, _, _ = run(capsys, *argv)
     assert code == 0
@@ -189,7 +231,7 @@ def test_repeated_runs_in_one_process_are_identical(tmp_path, capsys, argv):
 
 def test_solve_frees_the_system_before_the_factor(tmp_path, capsys, monkeypatch):
     # Only K, Kbar and the load vector outlive assembly: the geometry, the
-    # element matrices, the incidence and Dbar are gone before the factor.
+    # incidence and Dbar are gone before the factor.
     systems, alive = [], []
     build_system, factor_kbar = pipeline.build_system, cli.factor_kbar
 

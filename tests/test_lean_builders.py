@@ -13,7 +13,6 @@ import pytest
 
 import ddfem
 from ddfem import assembly, dd_approx
-from ddfem.assembly import reference_tables
 
 from oracles import (
     averaged_tensor_stiffness,
@@ -32,6 +31,9 @@ MESHES = {
         lambda x: np.array([x[0] + 4.0 * x[1], x[1]])),
     "cube-p2-dirichlet-none": lambda: ddfem.gen_structured_cube(
         2, p=2, dirichlet="none"),
+    # m = 1296 and 2058: K is summed from three and five element chunks.
+    "cube-p2-chunks": lambda: ddfem.gen_structured_cube(6, p=2),
+    "cube-p1-chunks": lambda: ddfem.gen_structured_cube(7, p=1),
 }
 
 
@@ -48,7 +50,7 @@ def test_builders_match_averaging_int64_oracles(name):
     geom, rule = system.geometries, system.rule
     want = averaged_tensor_stiffness(geom.inverse_transposes, geom.dets,
                                      geom.theta_vals, rule.weights,
-                                     reference_tables(system.ref, rule)[1])
+                                     system.tables[1])
     assert_bitwise(system.element_stiffness, want)
     n = mesh.n_free
     inc = system.incidence
@@ -65,33 +67,38 @@ def traced_peak(build) -> int:
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
-    tracemalloc.reset_peak()
-    start = tracemalloc.get_traced_memory()[0]
-    build()
-    peak = tracemalloc.get_traced_memory()[1] - start
-    if not tracing:
-        tracemalloc.stop()
-    return peak
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
-# Peaks on cube k=4 p=2 (m=384, n=343), in bytes: element_stiffness 474560,
-# assemble_global 392530, build_kbar 207336.  Averaging each block with its
-# transpose peaked at 889488, and int64 triplets at 751696 (K) and 308024
-# (Kbar).
-PEAK_BOUNDS_MIB = {"element_stiffness": 0.60, "assemble_global": 0.55,
+# Peaks on cube k=4 p=2 (m=384, n=343), in bytes: element_stiffness 474992,
+# build_kbar 207336.  Averaging each block with its transpose peaked at
+# 889488, and int64 Kbar triplets at 308024.  assemble_global computes the
+# element blocks itself, in chunks: on cube k=6 p=2 (m=1296, three chunks)
+# it peaks at 1765379, and at 2289536 when it computes the whole stack at
+# once.
+PEAK_BOUNDS_MIB = {"element_stiffness": 0.60, "assemble_global": 1.90,
                    "build_kbar": 0.25}
 
 
 def test_builder_scratch_memory_is_bounded():
     mesh = ddfem.gen_structured_cube(4, p=2)
     system = ddfem.build_system(mesh)
-    tables = reference_tables(system.ref, system.rule)
     incidence, dbar = system.incidence, system.dbar
+    chunked = ddfem.build_system(ddfem.gen_structured_cube(6, p=2))
+    assert chunked.mesh.n_elements > 2 * assembly.ASSEMBLY_CHUNK
     peaks = {
         "element_stiffness": traced_peak(lambda: assembly.element_stiffness(
-            system.geometries, system.ref, system.rule, tables=tables)),
-        "assemble_global": traced_peak(
-            lambda: assembly.assemble_global(mesh, system.element_stiffness)),
+            system.geometries, system.ref, system.rule, tables=system.tables)),
+        "assemble_global": traced_peak(lambda: assembly.assemble_global(
+            chunked.mesh, chunked.geometries, chunked.ref, chunked.rule,
+            tables=chunked.tables)),
         "build_kbar": traced_peak(lambda: dd_approx.build_kbar(incidence, dbar)),
     }
     over = {name: peak for name, peak in peaks.items()
