@@ -24,7 +24,7 @@ class PlainLU:
     """The whole of Kbar given to SuperLU with the factor's settings."""
 
     def __init__(self, kbar):
-        self.lu = _splu(kbar.csr.tocsc())
+        self.lu = _splu(kbar.tocsc())
         self.lu_entries = self.lu.L.nnz + self.lu.U.nnz
 
     def solve(self, rhs, *, refine=True):
@@ -62,7 +62,7 @@ def row(label, mesh, repeat):
     runs = [pcg_solve(system.stiffness, rhs, preconditioner=h, tol=1e-10)
             for h in (plain, ours)]
     diff = np.linalg.norm(runs[1].x - runs[0].x) / np.linalg.norm(runs[0].x)
-    return [label, kbar.n, ours.eliminated, plain.lu_entries, ours.lu_entries,
+    return [label, kbar.shape[0], ours.eliminated, plain.lu_entries, ours.lu_entries,
             f"{plain_s:.3f}", f"{ours_s:.3f}", f"{ms_per_solve(plain, rhs):.2f}",
             f"{ms_per_solve(ours, rhs):.2f}", runs[0].iterations,
             runs[1].iterations, f"{diff:.1e}"]

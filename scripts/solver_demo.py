@@ -37,7 +37,7 @@ def main():
     pre = pcg_solve(system.stiffness, rhs, preconditioner=handle, tol=args.tol)
     plain = pcg_solve(system.stiffness, rhs, preconditioner=None, tol=args.tol)
 
-    n = system.stiffness.n
+    n = system.stiffness.shape[0]
     print(f"mesh: {mesh.n_elements} elements, n = {n}, jump = {args.jump:g}")
     print(f"preconditioned:   {pre.iterations:4d} iterations, "
           f"residual {pre.relative_residual:.2e}")

@@ -3,11 +3,12 @@ symmetric diagonally dominant approximations, with quality scalars, bound
 verification, and a preconditioned conjugate gradient demo solver."""
 
 from .assembly import (
-    SparseSymmetricMatrix,
     assemble_global,
     assemble_load,
     element_geometry,
     element_stiffness,
+    load_matrix_text,
+    save_matrix_text,
 )
 from .dd_approx import (
     build_dbar,
@@ -69,7 +70,6 @@ __all__ = [
     "QuadratureRule",
     "ReferenceElement",
     "SolveResult",
-    "SparseSymmetricMatrix",
     "SqpMatrix",
     "approximate",
     "assemble_global",
@@ -96,11 +96,13 @@ __all__ = [
     "gen_structured_square",
     "global_support_check",
     "insert_midpoints",
+    "load_matrix_text",
     "load_mesh",
     "make_reference",
     "make_rule",
     "pcg_solve",
     "save_incidence",
+    "save_matrix_text",
     "save_mesh",
     "standard_rule",
     "support_number",

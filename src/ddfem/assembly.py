@@ -10,12 +10,16 @@ nodes and over Gauss points,
 with J the Jacobian at the Gauss point.  Every element quantity is computed
 for all elements at once as a stacked array with the element index leading.
 Element matrices (at most 10 x 10 each) are summed into the upper triangle in
-one COO pass and mirrored, so the result is symmetric by construction.
+one COO pass and mirrored (``mirrored_csr``), so the result is a
+``scipy.sparse.csr_matrix`` that is symmetric by construction.
+``save_matrix_text`` and ``load_matrix_text`` write and read such a matrix as
+its upper-triangle entries in the ``ddfem-matrix v1`` text format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +50,13 @@ class ElementGeometry:
     theta_vals: np.ndarray           # (m, q)
 
 
-def _mirrored_csr(n: int, rows, cols, vals) -> sp.csr_matrix:
+def index_dtype(n: int) -> type:
+    """Triplet index type for node indices below n: int32, as scipy stores them."""
+    return np.int32 if n < 2 ** 31 else np.int64
+
+
+def mirrored_csr(n: int, rows, cols, vals) -> sp.csr_matrix:
+    """Symmetric n x n CSR from upper-triangle triplets (row <= col); duplicates add up."""
     # Sum the upper-triangle triplets, then put in front of each row the
     # strictly upper entries of its column: both halves hold the same
     # floating-point value.  The transposed strict part (a counting-sort
@@ -72,99 +82,73 @@ def _mirrored_csr(n: int, rows, cols, vals) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, lo_ptr + up_ptr), shape=(n, n))
 
 
-class SparseSymmetricMatrix:
-    """Symmetric sparse matrix held as CSR, mirrored from its upper triangle."""
+def save_matrix_text(matrix: sp.csr_matrix, target) -> None:
+    """Write the upper triangle of a symmetric matrix, one sorted ``entry`` line each."""
+    n = matrix.shape[0]
+    upper = sp.triu(matrix, format="csr")
+    upper.sort_indices()
+    rows = np.repeat(np.arange(1, n + 1), np.diff(upper.indptr))
+    entries = zip(rows.tolist(), (upper.indices + 1).tolist(), upper.data.tolist())
+    text = (f"{MATRIX_HEADER} n={n} symmetric=upper\n"
+            + ("entry %d %d %.17g\n" * upper.nnz) % tuple(chain.from_iterable(entries)))
+    if isinstance(target, (str, Path)):
+        Path(target).write_text(text, encoding="utf-8")
+    else:
+        target.write(text)
 
-    def __init__(self, n: int, upper: dict[tuple[int, int], float]):
-        """Build from a ``{(i, j): value}`` map with i <= j."""
-        keys = np.array(list(upper), dtype=np.int64).reshape(-1, 2)
-        vals = np.fromiter(upper.values(), dtype=float, count=len(upper))
-        self.n = n
-        self.csr = _mirrored_csr(n, keys[:, 0], keys[:, 1], vals)
 
-    @staticmethod
-    def index_dtype(n: int) -> type:
-        """Triplet index type for node indices below n: int32, as scipy stores them."""
-        return np.int32 if n < 2 ** 31 else np.int64
+def load_matrix_text(source) -> sp.csr_matrix:
+    """Read a matrix file (a path, its text or an open file) as a symmetric CSR.
 
-    @classmethod
-    def from_upper(cls, n: int, rows, cols, vals) -> "SparseSymmetricMatrix":
-        """Sum (row, col, value) triplets with row <= col; duplicates add up."""
-        out = cls.__new__(cls)
-        out.n = n
-        out.csr = _mirrored_csr(n, rows, cols, vals)
-        return out
-
-    @property
-    def nnz(self) -> int:
-        return self.csr.nnz
-
-    def toarray(self) -> np.ndarray:
-        return self.csr.toarray()
-
-    def __matmul__(self, x):
-        return self.csr @ x
-
-    def upper_entries(self):
-        """Stored (i, j, value) triplets with i <= j, sorted."""
-        upper = sp.triu(self.csr, format="csr")
-        upper.sort_indices()
-        rows = np.repeat(np.arange(self.n), np.diff(upper.indptr))
-        return zip(rows.tolist(), upper.indices.tolist(), upper.data.tolist())
-
-    def save_text(self, target) -> None:
-        close = False
-        if isinstance(target, (str, Path)):
-            fh = open(target, "w", encoding="utf-8")
-            close = True
-        else:
-            fh = target
+    Raises MeshFormatError with the line number of the first bad header,
+    entry line, out-of-range index, non-finite value or duplicate entry.
+    """
+    if isinstance(source, (str, Path)) and "\n" not in str(source):
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = source if isinstance(source, str) else source.read()
+    lines = text.splitlines()
+    if not lines:
+        raise MeshFormatError("empty matrix file", line=1)
+    head = lines[0].split()
+    if (len(head) != 4 or " ".join(head[:2]) != MATRIX_HEADER
+            or not head[2].startswith("n=") or head[3] != "symmetric=upper"):
+        raise MeshFormatError(f"bad header {lines[0]!r}", line=1)
+    try:
+        n = int(head[2].removeprefix("n="))
+    except ValueError:
+        n = -1   # rejected with the negative sizes below
+    if n < 0:
+        raise MeshFormatError(f"bad header {lines[0]!r}", line=1)
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    seen: set[tuple[int, int]] = set()
+    for ln, raw in enumerate(lines[1:], start=2):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tok = stripped.split()
+        if len(tok) != 4 or tok[0] != "entry":
+            raise MeshFormatError(f"bad entry line {raw!r}", line=ln)
         try:
-            fh.write(f"{MATRIX_HEADER} n={self.n} symmetric=upper\n")
-            for i, j, v in self.upper_entries():
-                fh.write(f"entry {i + 1} {j + 1} {v:.17g}\n")
-        finally:
-            if close:
-                fh.close()
-
-    @classmethod
-    def load_text(cls, source) -> "SparseSymmetricMatrix":
-        if isinstance(source, (str, Path)) and "\n" not in str(source):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = source if isinstance(source, str) else source.read()
-        lines = text.splitlines()
-        if not lines:
-            raise MeshFormatError("empty matrix file", line=1)
-        head = lines[0].split()
-        if (len(head) != 4 or " ".join(head[:2]) != MATRIX_HEADER
-                or not head[2].startswith("n=") or head[3] != "symmetric=upper"):
-            raise MeshFormatError(f"bad header {lines[0]!r}", line=1)
-        try:
-            n = int(head[2].removeprefix("n="))
+            i, j, v = int(tok[1]) - 1, int(tok[2]) - 1, float(tok[3])
         except ValueError:
-            raise MeshFormatError(f"bad header {lines[0]!r}", line=1) from None
-        upper: dict[tuple[int, int], float] = {}
-        for ln, raw in enumerate(lines[1:], start=2):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tok = stripped.split()
-            if len(tok) != 4 or tok[0] != "entry":
-                raise MeshFormatError(f"bad entry line {raw!r}", line=ln)
-            try:
-                i, j, v = int(tok[1]) - 1, int(tok[2]) - 1, float(tok[3])
-            except ValueError:
-                raise MeshFormatError(f"bad entry line {raw!r}", line=ln) from None
-            if not (0 <= i <= j < n):
-                raise MeshFormatError(f"entry indices out of range in {raw!r}", line=ln)
-            if not np.isfinite(v):
-                raise MeshFormatError(f"non-finite entry value in {raw!r}", line=ln)
-            if (i, j) in upper:
-                raise MeshFormatError(f"duplicate entry {i + 1} {j + 1}", line=ln)
-            upper[(i, j)] = v
-        return cls(n, upper)
+            raise MeshFormatError(f"bad entry line {raw!r}", line=ln) from None
+        if not (0 <= i <= j < n):
+            raise MeshFormatError(f"entry indices out of range in {raw!r}", line=ln)
+        if not np.isfinite(v):
+            raise MeshFormatError(f"non-finite entry value in {raw!r}", line=ln)
+        if (i, j) in seen:
+            raise MeshFormatError(f"duplicate entry {i + 1} {j + 1}", line=ln)
+        seen.add((i, j))
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+    dtype = index_dtype(n)
+    return mirrored_csr(n, np.array(rows, dtype=dtype), np.array(cols, dtype=dtype),
+                        np.array(vals, dtype=float))
 
 
 def _det_small(m: np.ndarray) -> np.ndarray:
@@ -284,7 +268,7 @@ def element_stiffness(geom: ElementGeometry, ref: ReferenceElement,
 
 def assemble_global(mesh: Mesh, geometries: ElementGeometry,
                     ref: ReferenceElement, rule: QuadratureRule,
-                    tables=None) -> SparseSymmetricMatrix:
+                    tables=None) -> sp.csr_matrix:
     """The reduced stiffness matrix over the non-Dirichlet nodes.
 
     The element matrices are computed here, in chunks of at most
@@ -298,8 +282,7 @@ def assemble_global(mesh: Mesh, geometries: ElementGeometry,
     if tables is None:
         tables = reference_tables(ref, rule)
     n = mesh.n_free
-    ids = mesh.elements.astype(SparseSymmetricMatrix.index_dtype(mesh.n_nodes),
-                               copy=False)
+    ids = mesh.elements.astype(index_dtype(mesh.n_nodes), copy=False)
     m, l = ids.shape
     # Local pairs a <= b of free nodes, element by element in row-major order.
     free = ids < n
@@ -328,21 +311,21 @@ def assemble_global(mesh: Mesh, geometries: ElementGeometry,
     lo = np.minimum(rows, cols)
     np.maximum(rows, cols, out=cols)
     del rows
-    return SparseSymmetricMatrix.from_upper(n, lo, cols, vals)
+    return mirrored_csr(n, lo, cols, vals)
 
 
 def assemble_load(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
                   theta: ConductivityField, source,
                   dirichlet_values=None,
-                  geometries: ElementGeometry | None = None,
-                  element_k: np.ndarray | None = None) -> np.ndarray:
+                  geometries: ElementGeometry | None = None) -> np.ndarray:
     """Load vector for the reduced system.
 
-    ``source`` is a constant or a callable of the physical point.  Dirichlet
-    data may be a constant, a callable, or an array over the constrained
-    nodes; its coupling through the element stiffness matrices (``element_k``,
-    built here when not given) is subtracted here.  Only the natural (zero
-    flux) boundary condition is supported on the remaining boundary.
+    ``source`` is a constant or a callable of the physical point; a callable
+    that gives a non-finite value raises UnsupportedConfigError naming the
+    first such element and Gauss point.  Dirichlet data may be a constant, a
+    callable, or an array over the constrained nodes; its coupling through
+    the element stiffness matrices is subtracted here.  Only the natural
+    (zero flux) boundary condition is supported on the remaining boundary.
     """
     tables = reference_tables(ref, rule)
     vals = tables[0]
@@ -367,16 +350,23 @@ def assemble_load(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
     ids = mesh.elements
     if callable(source):
         points = np.einsum("tla,kl->tka", mesh.nodes[ids], vals)
-        src = np.array([float(source(x)) for x in points.reshape(-1, mesh.d)])
+        with np.errstate(all="ignore"):
+            src = np.array([float(source(x)) for x in points.reshape(-1, mesh.d)])
         src = src.reshape(points.shape[:2])
+        bad = ~np.isfinite(src)
+        if bad.any():
+            t, k = np.argwhere(bad)[0]
+            raise UnsupportedConfigError(
+                f"source must be finite, got {src[t, k]:g} at "
+                f"{tuple(points[t, k].tolist())} in element {t + 1}, "
+                f"Gauss point {k + 1}")
     else:
         src = float(source)
     w = rule.weights * geometries.dets * src                 # (m, q)
     local = w @ vals                                         # (m, l)
 
     if n_con and np.any(constrained):
-        if element_k is None:
-            element_k = element_stiffness(geometries, ref, rule, tables=tables)
+        element_k = element_stiffness(geometries, ref, rule, tables=tables)
         lifted = np.where(ids >= n, constrained[np.maximum(ids - n, 0)], 0.0)
         local = local - (element_k @ lifted[:, :, None])[:, :, 0]
     free = ids < n

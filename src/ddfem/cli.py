@@ -21,7 +21,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import pipeline
-from .assembly import assemble_load
+from .assembly import assemble_load, save_matrix_text
 from .errors import (
     DDFemError,
     MeshFormatError,
@@ -305,7 +305,7 @@ def _cmd_assemble(cfg) -> int:
     mesh = _resolve_mesh(cfg)
     system = pipeline.build_system(mesh, _resolve_theta(cfg, mesh),
                                    _resolve_rule(cfg, mesh))
-    system.stiffness.save_text(cfg["out"])
+    save_matrix_text(system.stiffness, cfg["out"])
     return EXIT_OK
 
 
@@ -313,7 +313,7 @@ def _cmd_approx(cfg) -> int:
     mesh = _resolve_mesh(cfg)
     system = pipeline.build_system(mesh, _resolve_theta(cfg, mesh),
                                    _resolve_rule(cfg, mesh))
-    system.kbar.save_text(cfg["out"])
+    save_matrix_text(system.kbar, cfg["out"])
     return EXIT_OK
 
 
@@ -378,7 +378,7 @@ def _cmd_solve(cfg) -> int:
     pre = pcg_solve(stiffness, rhs, preconditioner=handle, tol=tol,
                     max_iter=max_iter)
 
-    n = stiffness.n
+    n = stiffness.shape[0]
     values = chain.from_iterable(zip(range(1, n + 1), pre.x.tolist()))
     text = (f"ddfem-solution v1 n={n}\n"
             + ("x %d %.17g\n" * n) % tuple(values)

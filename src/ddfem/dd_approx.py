@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import ElementGeometry, SparseSymmetricMatrix
+from .assembly import ElementGeometry, index_dtype, mirrored_csr
 from .factorization import ElementFactors, IncidenceMatrix, relative_residuals
 from .quadrature import QuadratureRule
 from .quality import QualityReport
@@ -77,7 +78,7 @@ def build_dbar(alpha: np.ndarray, geometries: ElementGeometry,
     return DbarBlocks(scalars=rule.m_q * f * g * alpha ** 2, f=f, g=g)
 
 
-def build_kbar(incidence: IncidenceMatrix, dbar: DbarBlocks) -> SparseSymmetricMatrix:
+def build_kbar(incidence: IncidenceMatrix, dbar: DbarBlocks) -> sp.csr_matrix:
     """Weighted graph Laplacian on the star arcs, Dirichlet rows deleted.
 
     Each arc adds its element's scalar to both endpoint diagonals and
@@ -85,8 +86,7 @@ def build_kbar(incidence: IncidenceMatrix, dbar: DbarBlocks) -> SparseSymmetricM
     and mirrored, so the result is exactly symmetric with nonpositive
     off-diagonal entries.
     """
-    arcs = incidence.arcs.astype(SparseSymmetricMatrix.index_dtype(incidence.n),
-                                 copy=False)
+    arcs = incidence.arcs.astype(index_dtype(incidence.n), copy=False)
     tail, head = arcs[:, 0], arcs[:, 1]
     s = np.repeat(dbar.scalars, incidence.l - 1)
     has_tail, has_head = tail >= 0, head >= 0
@@ -97,7 +97,7 @@ def build_kbar(incidence: IncidenceMatrix, dbar: DbarBlocks) -> SparseSymmetricM
     cols = np.concatenate([diag, np.maximum(t, h)])
     vals = np.concatenate([s[has_tail], s[has_head], -s[both]])
     del arcs, diag, t, h   # only the triplets reach the mirror
-    return SparseSymmetricMatrix.from_upper(incidence.n, rows, cols, vals)
+    return mirrored_csr(incidence.n, rows, cols, vals)
 
 
 def _scaled_blocks(factors: ElementFactors, dbar: DbarBlocks,

@@ -45,10 +45,6 @@ class IncidenceMatrix:
     arcs: np.ndarray        # ((l-1)*m, 2) int
     matrix: sp.csr_matrix   # ((l-1)*m, n) with entries in {-1, 0, +1}
 
-    def block(self, t: int) -> sp.csr_matrix:
-        lm1 = self.l - 1
-        return self.matrix[t * lm1:(t + 1) * lm1, :]
-
 
 @dataclass(frozen=True, eq=False)
 class ElementFactors:
@@ -216,8 +212,8 @@ def verify_first_factorization(mesh: Mesh, factors: ElementFactors,
                              shape=(m * qd, m * lm1))
         ja = jmat @ incidence.matrix
         product = (ja.T @ sp.diags(factors.d_diag.ravel()) @ ja).tocsr()
-        diff = product - global_stiffness.csr
-        denom = spla.norm(global_stiffness.csr)
+        diff = product - global_stiffness
+        denom = spla.norm(global_stiffness)
         global_residual = float(spla.norm(diff) / denom) if denom > 0 else 0.0
 
     return FactorizationReport(

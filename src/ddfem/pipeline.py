@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import assembly, dd_approx, factorization, quality, spectral
-from .assembly import SparseSymmetricMatrix
 from .errors import ConsistencyError, EigensolverError, InfiniteSupportError
 from .mesh import ConductivityField, Mesh, conductivity_from_mesh
 from .quadrature import QuadratureRule, standard_rule, verify_exactness
@@ -47,7 +47,7 @@ class AssembledSystem:
     alpha: np.ndarray                # (m,) max compression per element
 
     @cached_property
-    def stiffness(self) -> SparseSymmetricMatrix:
+    def stiffness(self) -> sp.csr_matrix:
         """The reduced n x n stiffness matrix K."""
         return assembly.assemble_global(self.mesh, self.geometries, self.ref,
                                         self.rule, tables=self.tables)
@@ -73,7 +73,7 @@ class AssembledSystem:
         return dd_approx.build_dbar(self.alpha, self.geometries, self.rule)
 
     @cached_property
-    def kbar(self) -> SparseSymmetricMatrix:
+    def kbar(self) -> sp.csr_matrix:
         """The n x n graph Laplacian approximation Kbar = A^T Dbar A."""
         return dd_approx.build_kbar(self.incidence, self.dbar)
 
@@ -196,7 +196,7 @@ def verify_system(system: AssembledSystem, *,
         chi = None
         add("chi-chain", False, str(exc))
 
-    n = system.stiffness.n
+    n = system.stiffness.shape[0]
     if chi is not None and 0 < n <= dense_limit:
         try:
             glob = spectral.global_support_check(system.stiffness, system.kbar,
@@ -221,16 +221,17 @@ DOMINANCE_OFF_TOL = 1e-14
 DOMINANCE_ROW_RTOL = 1e-12
 
 
-def check_diagonal_dominance(kbar: SparseSymmetricMatrix):
+def check_diagonal_dominance(kbar: sp.csr_matrix):
     """Off-diagonals nonpositive and every row diagonally dominant."""
-    if kbar.n == 0:
+    n = kbar.shape[0]
+    if n == 0:
         return True, "empty system"
-    entries = kbar.csr.tocoo()
+    entries = kbar.tocoo()
     off = entries.row != entries.col
     worst_off = float(entries.data[off].max(initial=0.0))
     row_off = np.bincount(entries.row[off], weights=np.abs(entries.data[off]),
-                          minlength=kbar.n)
-    diag = kbar.csr.diagonal()
+                          minlength=n)
+    diag = kbar.diagonal()
     slack = diag - row_off + DOMINANCE_ROW_RTOL * np.abs(diag)
     ok = worst_off <= DOMINANCE_OFF_TOL and bool(np.all(slack >= 0.0))
     return ok, (f"worst off-diagonal {worst_off:.3e}, "

@@ -27,17 +27,10 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
-from .assembly import SparseSymmetricMatrix
 from .errors import SingularSystemError
 
 
-def _as_csr(matrix):
-    if isinstance(matrix, SparseSymmetricMatrix):
-        return matrix.csr
-    return sp.csr_matrix(matrix)
-
-
-def floating_components(matrix) -> tuple[np.ndarray, np.ndarray]:
+def floating_components(csr: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Connected components of a symmetric matrix's graph whose rows all sum to zero.
 
     Such a component is a floating Laplacian block (no constrained node
@@ -45,7 +38,6 @@ def floating_components(matrix) -> tuple[np.ndarray, np.ndarray]:
     Returns the component label of every node and the sorted labels of the
     floating components.
     """
-    csr = _as_csr(matrix)
     row_sums = np.abs(np.asarray(csr.sum(axis=1)).reshape(-1))
     diag_scale = float(np.abs(csr.diagonal()).max(initial=0.0)) or 1.0
     n_comp, labels = csgraph.connected_components(csr, directed=False)
@@ -54,7 +46,7 @@ def floating_components(matrix) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.flatnonzero(worst <= 1e-12 * diag_scale)
 
 
-def independent_rows(matrix) -> np.ndarray:
+def independent_rows(csr: sp.csr_matrix) -> np.ndarray:
     """Sorted rows whose (degree, index) is below that of every neighbour.
 
     The degree counts a row's stored off-diagonal entries.  Of any two
@@ -62,7 +54,6 @@ def independent_rows(matrix) -> np.ndarray:
     chosen rows are pairwise non-adjacent: their diagonal block is diagonal.
     Returns an empty array for a matrix with no rows.
     """
-    csr = _as_csr(matrix)
     n = csr.shape[0]
     row_of = np.repeat(np.arange(n), np.diff(csr.indptr))
     off = csr.indices != row_of
@@ -103,7 +94,7 @@ class KbarFactor:
     """
 
     def __init__(self, matrix):
-        csr = _as_csr(matrix)
+        csr = sp.csr_matrix(matrix)
         self.n = csr.shape[0]
         self.eliminated = 0
         self._leaves = None
@@ -240,7 +231,7 @@ def pcg_solve(stiffness, rhs: np.ndarray, preconditioner: KbarFactor | None = No
     Returns a non-convergence result (never raises) when ``max_iter`` runs
     out.
     """
-    a = _as_csr(stiffness)
+    a = sp.csr_matrix(stiffness)
     n = a.shape[0]
     rhs = np.asarray(rhs, dtype=float).reshape(-1)
     if rhs.shape[0] != n:

@@ -233,20 +233,19 @@ def _grounded_pair(stiffness, kbar):
     indicator, so fixing one node per component to zero keeps exactly the
     pencil's eigenvalues off the nullspace.
     """
-    k_csr = stiffness.csr
     labels, floating = floating_components(kbar)
-    keep = np.ones(k_csr.shape[0], dtype=bool)
-    scale = float(np.abs(k_csr.data).max(initial=0.0))
+    keep = np.ones(stiffness.shape[0], dtype=bool)
+    scale = float(np.abs(stiffness.data).max(initial=0.0))
     for comp in floating:
         members = np.flatnonzero(labels == comp)
-        unit = np.zeros(k_csr.shape[0])
+        unit = np.zeros(stiffness.shape[0])
         unit[members] = 1.0 / np.sqrt(members.size)
-        if np.linalg.norm(k_csr @ unit) > NULLSPACE_RTOL * scale:
+        if np.linalg.norm(stiffness @ unit) > NULLSPACE_RTOL * scale:
             raise InfiniteSupportError(unit)
         keep[members[0]] = False
     if not keep.any():
         raise InfiniteSupportError(None)
-    return k_csr[keep][:, keep], kbar.csr[keep][:, keep]
+    return stiffness[keep][:, keep], kbar[keep][:, keep]
 
 
 def _solve_operator(factor: KbarFactor) -> spla.LinearOperator:
@@ -309,7 +308,7 @@ def global_support_check(stiffness, kbar, chi: ChiReport, kappa_h: float, *,
     slack.  Systems above ``size_limit`` raise SizeLimitError; a Lanczos run
     that fails (ARPACK's non-convergence included) raises EigensolverError.
     """
-    n = stiffness.n
+    n = stiffness.shape[0]
     if n > size_limit:
         raise SizeLimitError(
             f"global support verification limited to n <= {size_limit}, got n = {n}"

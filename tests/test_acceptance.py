@@ -113,7 +113,7 @@ def test_criterion_5_diagonal_dominance(acceptance_cases):
     for label, system, _ in acceptance_cases:
         ok, detail = check_diagonal_dominance(system.kbar)
         assert ok, f"{label}: {detail}"
-        n = system.kbar.n
+        n = system.kbar.shape[0]
         assert 0 < n <= 500, label
         smallest = np.linalg.eigvalsh(system.kbar.toarray())[0]
         assert smallest > 0, label
@@ -124,7 +124,7 @@ def test_criterion_6_global_support(acceptance_cases):
     """Global pair condition below the element middle-block maximum."""
     checked = 0
     for label, system, bundle in acceptance_cases:
-        if not 0 < system.stiffness.n <= 500:
+        if not 0 < system.stiffness.shape[0] <= 500:
             continue
         report = global_support_check(system.stiffness, system.kbar,
                                       bundle.chi, bundle.h_blocks.kappa_global)
@@ -147,7 +147,7 @@ def test_criterion_6_global_support_at_realistic_size():
                                    jump_conductivity(cube), 6859),
                                   ("sheared square k=40 p=1", sheared, None, 1521)):
         system = ddfem.build_system(mesh, theta)
-        assert system.stiffness.n == n, label
+        assert system.stiffness.shape[0] == n, label
         bundle = ddfem.approximate(system)
         report = global_support_check(system.stiffness, system.kbar,
                                       bundle.chi, bundle.h_blocks.kappa_global,

@@ -3,10 +3,11 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import ddfem
-from ddfem import assembly
-from ddfem.assembly import SparseSymmetricMatrix, reference_tables
+from ddfem import assembly, dd_approx
+from ddfem.assembly import load_matrix_text, reference_tables, save_matrix_text
 from ddfem.errors import ElementOrientationError, MeshFormatError
 
 from oracles import (
@@ -186,7 +187,7 @@ def test_two_triangle_square_assembly(two_triangle_square):
 def test_all_dirichlet_gives_empty_system():
     mesh = ddfem.gen_structured_square(1, p=1)   # every node on the boundary
     system = ddfem.build_system(mesh)
-    assert system.stiffness.n == 0
+    assert system.stiffness.shape[0] == 0
     assert system.stiffness.toarray().shape == (0, 0)
 
 
@@ -240,23 +241,34 @@ def test_sparsity_confined_to_shared_elements():
 def test_matrix_text_roundtrip(two_triangle_square):
     system = ddfem.build_system(two_triangle_square)
     buf = io.StringIO()
-    system.stiffness.save_text(buf)
-    back = SparseSymmetricMatrix.load_text(buf.getvalue())
-    np.testing.assert_array_equal(back.toarray(), system.stiffness.toarray())
+    save_matrix_text(system.stiffness, buf)
+    back = load_matrix_text(buf.getvalue())
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(back, name), getattr(system.stiffness, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for matrix in (system.stiffness, system.kbar):
+        assert type(matrix) is sp.csr_matrix and matrix.has_canonical_format
+        assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
     with pytest.raises(MeshFormatError):
-        SparseSymmetricMatrix.load_text("bogus\n")
+        load_matrix_text("bogus\n")
 
 
 def test_matrix_text_rejects_nonfinite_entry():
     with pytest.raises(MeshFormatError) as exc:
-        SparseSymmetricMatrix.load_text(
+        load_matrix_text(
             "ddfem-matrix v1 n=2 symmetric=upper\nentry 1 1 2\nentry 1 2 nan\n")
     assert exc.value.line == 3
 
 
+def test_matrix_text_rejects_negative_size():
+    with pytest.raises(MeshFormatError, match="bad header") as exc:
+        load_matrix_text("ddfem-matrix v1 n=-1 symmetric=upper\n")
+    assert exc.value.line == 1
+
+
 def test_matrix_text_rejects_repeated_entry():
     with pytest.raises(MeshFormatError, match="duplicate entry 1 2") as exc:
-        SparseSymmetricMatrix.load_text(
+        load_matrix_text(
             "ddfem-matrix v1 n=2 symmetric=upper\nentry 1 2 2\n"
             "entry 2 2 1\nentry 1 2 5\n")
     assert exc.value.line == 4
@@ -273,7 +285,7 @@ def test_exact_symmetry_of_assembled_matrix():
     mesh = ddfem.gen_structured_cube(2, p=2, dirichlet="none")
     system = ddfem.build_system(
         mesh, ddfem.ConductivityField.from_expression("1 + x**2 + 0.5*y"))
-    k = system.stiffness.csr
+    k = system.stiffness
     assert (k != k.T).nnz == 0
 
 
@@ -284,13 +296,14 @@ def test_mirrored_csr_matches_coo_oracle(monkeypatch, kind, p):
     # arrays must agree bit for bit, explicit zeros (entries that sum to
     # exactly 0, as on the right-angled p=1 square) included.
     calls = []
-    mirrored = assembly._mirrored_csr
+    mirrored = assembly.mirrored_csr
 
     def spy(n, rows, cols, vals):
         calls.append((n, rows, cols, vals))
         return mirrored(n, rows, cols, vals)
 
-    monkeypatch.setattr(assembly, "_mirrored_csr", spy)
+    monkeypatch.setattr(assembly, "mirrored_csr", spy)
+    monkeypatch.setattr(dd_approx, "mirrored_csr", spy)
     gen = ddfem.gen_structured_square if kind == "square" else ddfem.gen_structured_cube
     mesh = gen(6 if kind == "square" else 3, p=p)
     system = ddfem.build_system(mesh, ddfem.ConductivityField.from_expression("1 + x*y"))

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import ddfem
 from ddfem import cli, dd_approx, pipeline
-from ddfem.assembly import SparseSymmetricMatrix
 from ddfem.cli import main
 
 
@@ -47,7 +47,7 @@ def test_assemble_matches_library(tmp_path, capsys):
     out = tmp_path / "K.txt"
     code, _, _ = run(capsys, "assemble", "--mesh", str(mesh_file), "--out", str(out))
     assert code == 0
-    loaded = SparseSymmetricMatrix.load_text(out)
+    loaded = ddfem.load_matrix_text(out)
     system = ddfem.build_system(ddfem.load_mesh(mesh_file))
     np.testing.assert_allclose(loaded.toarray(), system.stiffness.toarray(),
                                rtol=1e-15)
@@ -58,7 +58,7 @@ def test_approx_writes_kbar(tmp_path, capsys):
     code, _, _ = run(capsys, "approx", "--kind", "square", "--k", "3",
                      "--out", str(out))
     assert code == 0
-    loaded = SparseSymmetricMatrix.load_text(out)
+    loaded = ddfem.load_matrix_text(out)
     system = ddfem.build_system(ddfem.gen_structured_square(3, p=1))
     np.testing.assert_allclose(loaded.toarray(), system.kbar.toarray(),
                                rtol=1e-15)
@@ -72,7 +72,7 @@ def test_approx_file_matches_full_approximation(tmp_path, capsys, kind, k):
     assert code == 0
     gen = ddfem.gen_structured_square if kind == "square" else ddfem.gen_structured_cube
     want = tmp_path / "want.txt"
-    ddfem.build_system(gen(k, p=2)).kbar.save_text(want)
+    ddfem.save_matrix_text(ddfem.build_system(gen(k, p=2)).kbar, want)
     assert out.read_bytes() == want.read_bytes()
 
 
@@ -262,11 +262,12 @@ def test_verify_corrupt_kbar_exits_2(capsys, monkeypatch):
     build_kbar = dd_approx.build_kbar
 
     def corrupted(*args):
-        # flip the sign of one off-diagonal entry: it turns positive
-        upper = {(i, j): v for i, j, v in build_kbar(*args).upper_entries()}
-        i, j = next(key for key in upper if key[0] != key[1])
-        upper[i, j] = -upper[i, j]
-        return SparseSymmetricMatrix(args[0].n, upper)
+        # flip the sign of one off-diagonal pair: it turns positive
+        kbar = build_kbar(*args)
+        upper = sp.triu(kbar, k=1, format="coo")
+        i, j, v = upper.row[0], upper.col[0], upper.data[0]
+        return kbar - sp.csr_matrix(([2 * v, 2 * v], ([i, j], [j, i])),
+                                    shape=kbar.shape)
 
     monkeypatch.setattr(dd_approx, "build_kbar", corrupted)
     code, out, _ = run(capsys, "verify", "--kind", "square", "--k", "4")
@@ -506,6 +507,18 @@ def test_nonfinite_config_values_exit_4(tmp_path, capsys):
                        "--tol", "nan", "--out", str(tmp_path / "x.txt"))
     assert code == 4
     assert "finite" in err
+
+
+def test_nonfinite_source_exits_4(tmp_path, capsys):
+    # Rejected at the first Gauss point, before any matrix reaches the solver;
+    # the division by zero itself warns nowhere.
+    out = tmp_path / "s.sol"
+    code, stdout, err = run(capsys, "solve", "--kind", "square", "--k", "2",
+                            "--source", "expr:x/0", "--out", str(out))
+    assert code == 4
+    assert stdout == "" and not out.exists()
+    assert err.startswith("i/o error: source must be finite, got inf at (")
+    assert "in element 1, Gauss point 1" in err
 
 
 def test_nan_determinant_exits_3(tmp_path, capsys):

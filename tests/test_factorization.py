@@ -70,7 +70,7 @@ def test_incidence_shared_edge_multigraph(two_triangle_square):
     # both elements are stars rooted at their own first local node
     for t in range(2):
         root = two_triangle_square.elements[t][0]
-        block = inc.block(t).toarray()
+        block = inc.matrix[t * (inc.l - 1):(t + 1) * (inc.l - 1)].toarray()
         assert np.all(block[:, root] == -1)
 
 

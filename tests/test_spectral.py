@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddfem
-from ddfem.assembly import SparseSymmetricMatrix
+from ddfem.assembly import mirrored_csr
 from ddfem.errors import ConsistencyError, InfiniteSupportError, SizeLimitError
 from ddfem.factorization import local_incidence
 from ddfem.spectral import LANCZOS_MIN_N, chi_report, global_support_check
@@ -257,8 +257,7 @@ def test_global_support_check_matches_dense_oracle(case, request):
 
 def _symmetric(csr):
     upper = sp.triu(csr).tocoo()
-    return SparseSymmetricMatrix.from_upper(csr.shape[0], upper.row, upper.col,
-                                            upper.data)
+    return mirrored_csr(csr.shape[0], upper.row, upper.col, upper.data)
 
 
 @pytest.mark.parametrize("k", [2, 6])
@@ -268,8 +267,8 @@ def test_global_check_rejects_k_off_kbar_nullspace(k):
     system = ddfem.build_system(ddfem.gen_structured_square(k, p=1,
                                                             dirichlet="none"))
     bundle = ddfem.approximate(system)
-    n = system.stiffness.n
-    bumped = _symmetric(system.stiffness.csr
+    n = system.stiffness.shape[0]
+    bumped = _symmetric(system.stiffness
                         + sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n)))
     with pytest.raises(InfiniteSupportError) as exc:
         global_support_check(bumped, system.kbar, bundle.chi, 1.0)
@@ -282,11 +281,11 @@ def test_global_check_rejects_extra_k_nullspace(k, how):
     # Kbar is definite (Dirichlet square); K gets a nullspace Kbar lacks.
     system = ddfem.build_system(ddfem.gen_structured_square(k, p=1))
     bundle = ddfem.approximate(system)
-    assert (system.stiffness.n < LANCZOS_MIN_N) == (k == 4)
-    kk = system.stiffness.csr
+    assert (system.stiffness.shape[0] < LANCZOS_MIN_N) == (k == 4)
+    kk = system.stiffness
     if how == "shifted-pencil":
         lam_min = 1.0 / dense_global_support(system.stiffness, system.kbar)[1]
-        singular = kk - lam_min * system.kbar.csr
+        singular = kk - lam_min * system.kbar
     else:
         singular = kk - sp.diags(np.asarray(kk.sum(axis=1)).reshape(-1))
     with pytest.raises(InfiniteSupportError):
