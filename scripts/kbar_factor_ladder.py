@@ -17,14 +17,14 @@ import time
 import numpy as np
 
 import ddfem
-from ddfem.solver import _splu, factor_kbar, pcg_solve
+from ddfem.solver import factor_kbar, pcg_solve, spd_splu
 
 
 class PlainLU:
     """The whole of Kbar given to SuperLU with the factor's settings."""
 
     def __init__(self, kbar):
-        self.lu = _splu(kbar.tocsc())
+        self.lu = spd_splu(kbar.tocsc())
         self.lu_entries = self.lu.L.nnz + self.lu.U.nnz
 
     def solve(self, rhs, *, refine=True):

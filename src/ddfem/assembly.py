@@ -314,6 +314,15 @@ def assemble_global(mesh: Mesh, geometries: ElementGeometry,
     return mirrored_csr(n, lo, cols, vals)
 
 
+def _value_at(fn, x) -> float:
+    try:
+        return float(fn(x))
+    except ArithmeticError:
+        # Python's own float arithmetic (1/0, 10.0**400) raises where numpy
+        # would give inf or nan: the value is undefined.
+        return np.nan
+
+
 def assemble_load(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
                   theta: ConductivityField, source,
                   dirichlet_values=None,
@@ -321,11 +330,12 @@ def assemble_load(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
     """Load vector for the reduced system.
 
     ``source`` is a constant or a callable of the physical point; a callable
-    that gives a non-finite value raises UnsupportedConfigError naming the
-    first such element and Gauss point.  Dirichlet data may be a constant, a
-    callable, or an array over the constrained nodes; its coupling through
-    the element stiffness matrices is subtracted here.  Only the natural
-    (zero flux) boundary condition is supported on the remaining boundary.
+    that gives a non-finite value, or raises ArithmeticError, raises
+    UnsupportedConfigError naming the first such element and Gauss point.
+    Dirichlet data may be a constant, a callable, or an array over the
+    constrained nodes; its coupling through the element stiffness matrices
+    is subtracted here.  Only the natural (zero flux) boundary condition is
+    supported on the remaining boundary.
     """
     tables = reference_tables(ref, rule)
     vals = tables[0]
@@ -351,7 +361,8 @@ def assemble_load(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
     if callable(source):
         points = np.einsum("tla,kl->tka", mesh.nodes[ids], vals)
         with np.errstate(all="ignore"):
-            src = np.array([float(source(x)) for x in points.reshape(-1, mesh.d)])
+            src = np.array([_value_at(source, x)
+                            for x in points.reshape(-1, mesh.d)])
         src = src.reshape(points.shape[:2])
         bad = ~np.isfinite(src)
         if bad.any():

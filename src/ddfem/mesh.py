@@ -609,7 +609,8 @@ def eval_conductivity(field: ConductivityField, x, element=None) -> np.ndarray:
 
     Raises ConductivityPositivityError at the first point (in C order) whose
     value is not finite and strictly positive, naming its element when known
-    and, for an (m, q) stack, its Gauss point.
+    and, for an (m, q) stack, its Gauss point.  An expression that divides by
+    zero or overflows counts as such a value (nan where Python raises).
     """
     x = np.asarray(x, dtype=float)
     shape = x.shape[:-1]
@@ -622,7 +623,14 @@ def eval_conductivity(field: ConductivityField, x, element=None) -> np.ndarray:
             )
         values = np.broadcast_to(field.per_element[element], shape)
     else:
-        values = field.fn(x)
+        try:
+            with np.errstate(all="ignore"):
+                values = field.fn(x)
+        except ArithmeticError:
+            # Python evaluates constant subexpressions itself (1/0, 10.0**400,
+            # 1/z in 2D) and raises where numpy would give inf or nan: the
+            # formula is then undefined at every point.
+            values = np.full(shape, np.nan)
     bad = ~(np.isfinite(values) & (values > 0.0))
     if bad.any():
         idx = np.unravel_index(int(np.argmax(bad)), shape)

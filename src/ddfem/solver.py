@@ -65,8 +65,21 @@ def independent_rows(csr: sp.csr_matrix) -> np.ndarray:
     return np.flatnonzero(chosen)
 
 
-def _splu(csc):
-    # SPD-friendly settings: symmetric fill-reducing ordering, no pivoting.
+def leaf_rows(csr: sp.csr_matrix) -> np.ndarray | None:
+    """The rows ``KbarFactor`` eliminates ahead of SuperLU, or None.
+
+    These are the ``independent_rows`` when they are at least half of the
+    rows and their diagonal is positive; otherwise (every K, and Kbar for
+    order 1) None, and the whole matrix is factored.
+    """
+    leaves = independent_rows(csr)
+    if 2 * leaves.size < csr.shape[0] or not (csr.diagonal()[leaves] > 0).all():
+        return None
+    return leaves
+
+
+def spd_splu(csc):
+    """SuperLU with SPD-friendly settings: symmetric fill-reducing ordering, no pivoting."""
     return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
@@ -77,9 +90,9 @@ class KbarFactor:
     Rejects singular input up front: a floating component of the matrix graph
     (see ``floating_components``) has its indicator in the nullspace.
 
-    The matrix must be symmetric.  When ``independent_rows`` picks at least
-    half of its rows (the leaves, I) and their diagonal is positive, the
-    factor is the exact block elimination of
+    The matrix must be symmetric.  When ``leaf_rows`` finds leaves (I: at
+    least half of the rows, pairwise uncoupled, with a positive diagonal),
+    the factor is the exact block elimination of
 
         [[D, B], [B^T, C]]  with D = diag(A_II), B = A_IC, C = A_CC:
 
@@ -111,17 +124,16 @@ class KbarFactor:
                 f"{'...' if len(members) > 8 else ''}) has no constrained node",
                 component=members,
             )
-        leaves = independent_rows(csr)
-        diag = csr.diagonal()[leaves]
-        if 2 * leaves.size < self.n or not (diag > 0).all():
+        leaves = leaf_rows(csr)
+        if leaves is None:
             self._matrix = csr.tocsc()
-            self._lu = _splu(self._matrix)
+            self._lu = spd_splu(self._matrix)
             return
         self.eliminated = leaves.size
         keep = np.ones(self.n, dtype=bool)
         keep[leaves] = False
         self._leaves, self._centres = leaves, np.flatnonzero(keep)
-        self._inv_diag = 1.0 / diag
+        self._inv_diag = 1.0 / csr.diagonal()[leaves]
         self._coupling = csr[leaves][:, self._centres]
         # B^T as a CSC view of B's arrays, built once for every solve.
         self._coupling_t = self._coupling.T
@@ -131,7 +143,7 @@ class KbarFactor:
             schur = (csr[self._centres][:, self._centres]
                      - self._coupling_t @ (sp.diags(self._inv_diag)
                                            @ self._coupling))
-            self._lu = _splu(schur.tocsc())
+            self._lu = spd_splu(schur.tocsc())
 
     @property
     def lu_entries(self) -> int:

@@ -13,8 +13,10 @@ element's middle block, whose singular values the approximation already holds
 pencils, single or stacked, densely and all at once.  The assembled pair is
 checked without forming a dense matrix: one node of every floating component
 of Kbar is grounded, which leaves an SPD pencil with the same eigenvalues off
-the nullspace, and Lanczos iterations on sparse factors of Kbar and K find its
-two extreme eigenvalues.
+the nullspace, and Lanczos iterations on sparse factors find its two extreme
+eigenvalues.  The largest element support bounds the top one (the splitting
+lemma), so where Kbar has no star leaves to eliminate the top eigenvalue
+comes from shift-invert at that bound, once a factor has certified it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import scipy.sparse.linalg as spla
 from .dd_approx import HBlocks, chi3_element_bounds
 from .errors import (ConsistencyError, EigensolverError, InfiniteSupportError,
                      SingularSystemError, SizeLimitError)
-from .solver import KbarFactor, floating_components
+from .solver import KbarFactor, floating_components, leaf_rows, spd_splu
 
 # Eigenvalues below this multiple of the largest count as nullspace; both the
 # element matrices and their approximations carry exact constant nullspaces
@@ -255,11 +257,61 @@ def _solve_operator(factor: KbarFactor) -> spla.LinearOperator:
                                lambda x: factor.solve(x, refine=False))
 
 
-def _extreme_eigenvalues(a, b) -> tuple[float, float]:
+def _certified_shift_factor(a, b, shift: float):
+    """SuperLU factor of shift*b - a if it proves lambda_max(a, b) < shift, else None.
+
+    The factor runs without pivoting under a symmetric ordering.  When its
+    row and column permutations agree it is P (shift*b - a) P^T = L U with L
+    unit lower triangular, so U's diagonal holds the pivots of an L D L^T
+    congruence and, by Sylvester's law of inertia, all of them are positive
+    exactly when shift*b - a is positive definite.
+    """
+    try:
+        lu = spd_splu((shift * b - a).tocsc())
+    except RuntimeError:
+        # An exactly zero pivot: shift*b - a is singular.
+        return None
+    if np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all():
+        return lu
+    return None
+
+
+def _top_eigenvalue(a, b, upper: float, v0: np.ndarray) -> float:
+    """Largest eigenvalue of the SPD pencil (a, b), given a likely bound above it.
+
+    When b would be factored whole (no star leaves to eliminate, see
+    ``leaf_rows``) and shift = upper * (1 + ORDER_RTOL) certifies itself as
+    an upper bound (``_certified_shift_factor``), Lanczos runs on
+    (a - shift*b)^-1 b, whose largest-magnitude eigenvalue belongs to the
+    eigenvalue of (a, b) nearest below the shift, the largest one.  The
+    transform spreads out the top of the spectrum, where b^-1 a bunches up,
+    so it needs fewer solves.  Otherwise Lanczos runs on b^-1 a through a
+    ``KbarFactor`` of b.  Either factor is freed on return.
+    """
+    shift = upper * (1.0 + ORDER_RTOL)
+    lu = _certified_shift_factor(a, b, shift) if leaf_rows(b) is None else None
+    if lu is not None:
+        neg_inverse = spla.LinearOperator(a.shape, lambda x: -lu.solve(x))
+        top = spla.eigsh(a, k=1, M=b, sigma=shift, which="LM", v0=v0,
+                         tol=LANCZOS_TOL, OPinv=neg_inverse,
+                         return_eigenvectors=False)
+    else:
+        top = spla.eigsh(a, k=1, M=b, which="LA", v0=v0, tol=LANCZOS_TOL,
+                         Minv=_solve_operator(KbarFactor(b)),
+                         return_eigenvectors=False)
+    return float(top[0])
+
+
+def _extreme_eigenvalues(a, b, upper: float) -> tuple[float, float]:
     """Smallest and largest eigenvalue of the SPD pencil (a, b).
 
-    Lanczos on b^-1 a for the top and shift-invert at zero for the bottom,
-    each applying one sparse factor; small pencils go to a dense solve.
+    ``upper`` is the expected bound on the largest eigenvalue (the worst
+    element support of the splitting lemma); the top comes from
+    ``_top_eigenvalue``, which uses it as a shift when it can certify it and
+    is otherwise independent of it.  The bottom comes from shift-invert
+    Lanczos at zero on a sparse factor of a, built only after the top's
+    factor is freed, so at most one factor is held at a time.  Small pencils
+    go to a dense solve.
     """
     n = a.shape[0]
     if n < LANCZOS_MIN_N:
@@ -269,24 +321,21 @@ def _extreme_eigenvalues(a, b) -> tuple[float, float]:
             # b is not positive definite: a nullspace beyond the indicators.
             raise InfiniteSupportError(None) from exc
         return float(w[0]), float(w[-1])
-    try:
-        a_factor = KbarFactor(a)
-    except (SingularSystemError, RuntimeError) as exc:
-        # RuntimeError: splu met an exactly singular pivot.
-        raise InfiniteSupportError(None) from exc
-    b_factor = KbarFactor(b)
     v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
     try:
-        top = spla.eigsh(a, k=1, M=b, which="LA", v0=v0, tol=LANCZOS_TOL,
-                         Minv=_solve_operator(b_factor),
-                         return_eigenvectors=False)
+        top = _top_eigenvalue(a, b, upper, v0)
+        try:
+            a_factor = KbarFactor(a)
+        except (SingularSystemError, RuntimeError) as exc:
+            # RuntimeError: splu met an exactly singular pivot.
+            raise InfiniteSupportError(None) from exc
         bottom = spla.eigsh(a, k=1, M=b, sigma=0.0, which="LM", v0=v0,
                             tol=LANCZOS_TOL,
                             OPinv=_solve_operator(a_factor),
                             return_eigenvectors=False)
     except spla.ArpackError as exc:
         raise EigensolverError(f"Lanczos eigensolver failed: {exc}") from exc
-    return float(bottom[0]), float(top[0])
+    return float(bottom[0]), top
 
 
 def global_support_check(stiffness, kbar, chi: ChiReport, kappa_h: float, *,
@@ -301,7 +350,11 @@ def global_support_check(stiffness, kbar, chi: ChiReport, kappa_h: float, *,
     Kbar's nullspace is removed by grounding one node of each floating
     component (see ``_grounded_pair``), which leaves an SPD pencil with the
     same eigenvalues; only its two extreme eigenvalues are needed, and they
-    come from Lanczos iterations on sparse factors of Kbar and K.  A nullspace
+    come from Lanczos iterations on sparse factors (``_extreme_eigenvalues``).
+    The worst element support ``chi.support_k_kbar.max()`` serves as the
+    shift of the top one where it certifies itself as a bound; when it does
+    not (the splitting bound is broken), regular-mode Lanczos on Kbar^-1 K
+    still finds the top eigenvalue and the report says so.  A nullspace
     of K that Kbar does not share shows as a grounded K that will not factor
     or a smallest eigenvalue below ``NULLSPACE_RTOL`` times the largest, and
     raises InfiniteSupportError.  Both bounds allow ``ORDER_RTOL`` relative
@@ -313,12 +366,13 @@ def global_support_check(stiffness, kbar, chi: ChiReport, kappa_h: float, *,
         raise SizeLimitError(
             f"global support verification limited to n <= {size_limit}, got n = {n}"
         )
-    lam_min, lam_max = _extreme_eigenvalues(*_grounded_pair(stiffness, kbar))
+    max_ab = float(chi.support_k_kbar.max())
+    max_ba = float(chi.support_kbar_k.max())
+    lam_min, lam_max = _extreme_eigenvalues(*_grounded_pair(stiffness, kbar),
+                                            max_ab)
     if not lam_min > NULLSPACE_RTOL * lam_max:
         raise InfiniteSupportError(None)
     sigma_ab, sigma_ba, kappa = lam_max, 1.0 / lam_min, lam_max / lam_min
-    max_ab = float(chi.support_k_kbar.max())
-    max_ba = float(chi.support_kbar_k.max())
     return GlobalSupportReport(
         sigma_k_kbar=sigma_ab,
         sigma_kbar_k=sigma_ba,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -519,6 +520,34 @@ def test_nonfinite_source_exits_4(tmp_path, capsys):
     assert stdout == "" and not out.exists()
     assert err.startswith("i/o error: source must be finite, got inf at (")
     assert "in element 1, Gauss point 1" in err
+
+
+def test_python_division_by_zero_in_source_exits_4(tmp_path, capsys):
+    # Python itself divides the constant 1/0 and raises; that point's source
+    # is undefined, as for numpy's x/0.
+    out = tmp_path / "s.sol"
+    code, stdout, err = run(capsys, "solve", "--kind", "square", "--k", "2",
+                            "--source", "expr:1/0", "--out", str(out))
+    assert code == 4
+    assert stdout == "" and not out.exists()
+    assert err.startswith("i/o error: source must be finite, got nan at (")
+    assert "in element 1, Gauss point 1" in err
+
+
+@pytest.mark.parametrize("expr,value", [("x/0", "inf"), ("1/0", "nan"),
+                                        ("10.0**400", "nan")])
+def test_undefined_conductivity_exits_3_without_warnings(capsys, expr, value):
+    # numpy's x/0 warns nowhere and Python's own 1/0 or overflow raises no
+    # traceback: stderr holds the one assumption line.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run(capsys, "report", "--kind", "square", "--k",
+                                "2", "--theta", f"expr:{expr}")
+    assert code == 3 and stdout == "" and caught == []
+    assert err.startswith("assumption violated: conductivity must be finite "
+                          f"and strictly positive, got {value} at (")
+    assert err.endswith("in element 1, Gauss point 1\n")
+    assert err.count("\n") == 1
 
 
 def test_nan_determinant_exits_3(tmp_path, capsys):

@@ -10,7 +10,9 @@ import ddfem
 from ddfem.assembly import mirrored_csr
 from ddfem.errors import ConsistencyError, InfiniteSupportError, SizeLimitError
 from ddfem.factorization import local_incidence
-from ddfem.spectral import LANCZOS_MIN_N, chi_report, global_support_check
+from ddfem import spectral
+from ddfem.spectral import (LANCZOS_MIN_N, ORDER_RTOL, chi_report,
+                            global_support_check)
 
 from conftest import jump_conductivity
 from oracles import (dense_global_support, random_psd_pair,
@@ -230,8 +232,27 @@ def _cube_p2_jump():
     return mesh, jump_conductivity(mesh)
 
 
-# Grounded sizes 2, 3, 9, 96, 225 and 343 run both the dense branch (below
-# LANCZOS_MIN_N) and the Lanczos branch.
+def _cube_p1_jump():
+    mesh = ddfem.gen_structured_cube(5, p=1)
+    return mesh, jump_conductivity(mesh)
+
+
+def _jittered_sheared_square(k=12, jitter=0.15, shear=4.0):
+    """Interior nodes moved by at most jitter/k in seeded directions, then sheared."""
+    mesh = ddfem.gen_structured_square(k, p=1)
+    rng = np.random.default_rng(11)
+    angle = rng.uniform(0.0, 2.0 * np.pi, mesh.n_nodes)
+    radius = jitter / k * rng.uniform(0.0, 1.0, mesh.n_nodes)
+    step = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    nodes = mesh.nodes + np.where(mesh.dirichlet[:, None], 0.0, step)
+    nodes[:, 0] += shear * nodes[:, 1]
+    return dataclasses.replace(mesh, nodes=nodes)
+
+
+# Grounded sizes 2, 3, 9, 64, 96, 120, 121, 225 and 343 run both the dense
+# branch (below LANCZOS_MIN_N) and the Lanczos branch; the p=1 cases above
+# LANCZOS_MIN_N take the top eigenvalue by shift-invert at the splitting
+# bound, the p=2 ones by Lanczos on Kbar^-1 K.
 ORACLE_CASES = {
     "unit-triangle": lambda r: (r.getfixturevalue("unit_triangle_mesh"), None),
     "two-triangles": lambda r: (r.getfixturevalue("two_triangle_square"), None),
@@ -239,6 +260,10 @@ ORACLE_CASES = {
     "two-floating-squares": lambda r: (_two_floating_squares(), None),
     "dirichlet-square-p2": lambda r: (ddfem.gen_structured_square(8, p=2), None),
     "cube-p2-jump": lambda r: _cube_p2_jump(),
+    "jittered-sheared-square-p1": lambda r: (_jittered_sheared_square(), None),
+    "cube-p1-jump": lambda r: _cube_p1_jump(),
+    "floating-square-p1": lambda r: (
+        ddfem.gen_structured_square(10, p=1, dirichlet="none"), None),
 }
 
 
@@ -253,6 +278,52 @@ def test_global_support_check_matches_dense_oracle(case, request):
     np.testing.assert_allclose(
         [report.sigma_k_kbar, report.sigma_kbar_k, report.kappa], expect,
         rtol=1e-10)
+
+
+def _eigsh_shifts(monkeypatch, mesh):
+    """The sigma of every eigsh call the global check makes, and the shift."""
+    shifts = []
+
+    def spy(*args, **kwargs):
+        shifts.append(kwargs.get("sigma"))
+        return eigsh(*args, **kwargs)
+
+    eigsh = spectral.spla.eigsh
+    monkeypatch.setattr(spectral.spla, "eigsh", spy)
+    system = ddfem.build_system(mesh)
+    bundle = ddfem.approximate(system)
+    global_support_check(system.stiffness, system.kbar, bundle.chi,
+                         bundle.h_blocks.kappa_global)
+    return shifts, float(bundle.chi.support_k_kbar.max()) * (1.0 + ORDER_RTOL)
+
+
+def test_top_eigenvalue_shift_only_without_leaf_elimination(monkeypatch):
+    # p=1: Kbar has no star leaves to eliminate, so the top eigenvalue comes
+    # from shift-invert at the splitting bound (the bottom from sigma=0).
+    shifts, shift = _eigsh_shifts(monkeypatch,
+                                  ddfem.gen_structured_square(8, p=1))
+    assert shifts.count(shift) == 1 and shifts.count(0.0) == 1
+    # p=2: the leaf-eliminated Kbar factor serves regular-mode Lanczos.
+    shifts, shift = _eigsh_shifts(monkeypatch,
+                                  ddfem.gen_structured_square(4, p=2))
+    assert shift not in shifts and shifts.count(0.0) == 1
+
+
+def test_broken_splitting_bound_falls_back_to_regular_lanczos():
+    # A halved element bound is below lambda_max, so the shifted factor is
+    # indefinite and the certificate fails: the top eigenvalue still comes
+    # out exact, and the check reports the broken bound.
+    system = ddfem.build_system(_jittered_sheared_square())
+    bundle = ddfem.approximate(system)
+    chi = dataclasses.replace(bundle.chi,
+                              support_k_kbar=0.5 * bundle.chi.support_k_kbar)
+    report = global_support_check(system.stiffness, system.kbar, chi,
+                                  bundle.h_blocks.kappa_global)
+    expect = dense_global_support(system.stiffness, system.kbar)
+    np.testing.assert_allclose(
+        [report.sigma_k_kbar, report.sigma_kbar_k, report.kappa], expect,
+        rtol=1e-10)
+    assert not report.splitting_ok and not report.passed
 
 
 def _symmetric(csr):
