@@ -102,6 +102,9 @@ def load_matrix_text(source) -> sp.csr_matrix:
 
     Raises MeshFormatError with the line number of the first bad header,
     entry line, out-of-range index, non-finite value or duplicate entry.
+    ``save_matrix_text`` writes every diagonal entry, so a header ``n``
+    above the number of entry lines is a bad header, rejected before any
+    array of n rows is allocated.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         with open(source, "r", encoding="utf-8") as fh:
@@ -121,15 +124,18 @@ def load_matrix_text(source) -> sp.csr_matrix:
         n = -1   # rejected with the negative sizes below
     if n < 0:
         raise MeshFormatError(f"bad header {lines[0]!r}", line=1)
+    records = [(ln, raw) for ln, raw in enumerate(lines[1:], start=2)
+               if raw.strip() and not raw.strip().startswith("#")]
+    if n > len(records):
+        raise MeshFormatError(
+            f"bad header {lines[0]!r}: n={n} exceeds the {len(records)} entry "
+            f"lines, and every diagonal entry has one", line=1)
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
     seen: set[tuple[int, int]] = set()
-    for ln, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tok = stripped.split()
+    for ln, raw in records:
+        tok = raw.split()
         if len(tok) != 4 or tok[0] != "entry":
             raise MeshFormatError(f"bad entry line {raw!r}", line=ln)
         try:

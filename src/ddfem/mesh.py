@@ -227,7 +227,7 @@ def _read_lines(lines: list, d: int, l: int) -> tuple:
 
 
 def _loadtxt(lines: list, words: tuple, fields: list) -> np.ndarray:
-    """Rows of ``words``, a distinct index, then ``fields``; raises otherwise.
+    """Rows of ``words``, an index, then ``fields``; raises otherwise.
 
     Each keyword is read into a fixed-width field one character longer than
     the word, so a longer token (``nodes``) still differs from it.
@@ -240,9 +240,8 @@ def _loadtxt(lines: list, words: tuple, fields: list) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
-    if any((rows[word] != word).any() for word in words) or (
-            len(np.unique(rows["idx"])) < len(rows)):
-        raise ValueError("a keyword differs or an index repeats")
+    if any((rows[word] != word).any() for word in words):
+        raise ValueError("a keyword differs")
     return rows
 
 
@@ -256,6 +255,10 @@ def _read_arrays(lines: list, d: int, l: int) -> tuple | None:
     read or ``_read_lines`` would reject, leaves the decision to ``_read_lines``.
     A text with a NUL character is one of them: NumPy strips trailing NULs
     from a string field, so ``node`` followed by a NUL would read as ``node``.
+    So is a record kind whose indices are not exactly 1..count (a repeated
+    index among them), with count the number of node lines for nodes and of
+    element lines for elements and theta: what this returns needs no further
+    index check.
     """
     if "\x00" in "".join(lines):
         return None
@@ -271,13 +274,33 @@ def _read_arrays(lines: list, d: int, l: int) -> tuple | None:
     if not (np.isfinite(nodes["x"]).all() and np.isfinite(theta["value"]).all()
             and np.isin(nodes["flag"], (0, 1)).all()):
         return None
+    if not (_is_one_to(nodes["idx"], len(nodes)) and _is_one_to(elems["idx"], len(elems))
+            and (len(theta) == 0 or _is_one_to(theta["idx"], len(elems)))):
+        return None
     return (nodes["idx"], nodes["x"], nodes["flag"].astype(bool), elems["idx"],
             elems["nodes"], theta["idx"], theta["value"])
 
 
 def _is_one_to(idx: np.ndarray, count: int) -> bool:
-    """Whether the distinct values of ``idx`` are exactly 1..count."""
-    return np.array_equal(np.unique(idx), np.arange(1, count + 1))
+    """Whether ``idx`` holds each of 1..count exactly once.
+
+    O(len(idx)) and sized by ``count``, never by a value read from the file:
+    bounds first, then one ``np.bincount`` of at most count + 1 bins.
+    """
+    if len(idx) != count:
+        return False
+    if count == 0:
+        return True
+    if idx.min() < 1 or idx.max() > count:
+        return False
+    return bool(np.bincount(idx).max() == 1)
+
+
+def _from_one_to(idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows`` put in index order, for indices known to be 1..len(rows)."""
+    out = np.empty_like(rows)
+    out[idx - 1] = rows
+    return out
 
 
 def load_mesh(source) -> Mesh:
@@ -313,34 +336,36 @@ def load_mesh(source) -> Mesh:
         raise MeshFormatError(f"unsupported d={d} p={p}", line=1)
 
     l = node_count(d, p)
+    # The whole-column reader checks every record kind's indices; only what
+    # the line-by-line reader returns is checked here.
+    arrays = _read_arrays(lines, d, l)
+    checked = arrays is not None
     node_idx, coords, flags, elem_idx, elem_nodes, theta_idx, theta_values = (
-        _read_arrays(lines, d, l) or _read_lines(lines, d, l))
+        arrays if checked else _read_lines(lines, d, l))
 
     n_nodes = len(node_idx)
     if n_nodes == 0:
         raise MeshFormatError("mesh has no nodes", line=1)
-    if not _is_one_to(node_idx, n_nodes):
+    if not (checked or _is_one_to(node_idx, n_nodes)):
         raise MeshFormatError(f"node indices must be exactly 1..{n_nodes}")
     m = len(elem_idx)
     if m == 0:
         raise MeshFormatError("mesh has no elements")
-    if not _is_one_to(elem_idx, m):
+    if not (checked or _is_one_to(elem_idx, m)):
         raise MeshFormatError(f"element indices must be exactly 1..{m}")
 
-    node_order = np.argsort(node_idx)
-    elem_order = np.argsort(elem_idx)
     theta = None
     if len(theta_idx):
-        if not _is_one_to(theta_idx, m):
+        if not (checked or _is_one_to(theta_idx, m)):
             raise MeshFormatError("theta lines must cover every element exactly once")
-        theta = theta_values[np.argsort(theta_idx)]
+        theta = _from_one_to(theta_idx, theta_values)
 
-    elements = elem_nodes[elem_order] - 1
+    elements = _from_one_to(elem_idx, elem_nodes) - 1
     # Checked before renumbering, where a negative index would wrap around.
     if (elements < 0).any() or (elements >= n_nodes).any():
         raise MeshInvariantError("element references a node index out of range")
-    mesh = Mesh(d=d, p=p, nodes=coords[node_order], elements=elements,
-                dirichlet=flags[node_order], theta_elem=theta)
+    mesh = Mesh(d=d, p=p, nodes=_from_one_to(node_idx, coords), elements=elements,
+                dirichlet=_from_one_to(node_idx, flags), theta_elem=theta)
     mesh = normalize_numbering(mesh)
     validate_mesh(mesh)
     return mesh

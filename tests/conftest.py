@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,3 +63,18 @@ def ring_snap(x):
     if abs(r - 2.0) < 0.1:
         return np.asarray(x) / r * 2.0
     return x
+
+
+def traced_peak(build) -> int:
+    """Bytes allocated at the peak of ``build()`` above its start (tracemalloc)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -10,6 +10,7 @@ from ddfem import assembly, dd_approx
 from ddfem.assembly import load_matrix_text, reference_tables, save_matrix_text
 from ddfem.errors import ElementOrientationError, MeshFormatError
 
+from conftest import traced_peak
 from oracles import (
     coo_mirrored_csr,
     exact_p1_element_stiffness,
@@ -264,6 +265,26 @@ def test_matrix_text_rejects_negative_size():
     with pytest.raises(MeshFormatError, match="bad header") as exc:
         load_matrix_text("ddfem-matrix v1 n=-1 symmetric=upper\n")
     assert exc.value.line == 1
+
+
+def test_matrix_text_rejects_size_above_its_entry_lines():
+    # save_matrix_text writes every diagonal entry, so n may not exceed the
+    # entry lines; a huge n is rejected before an index pointer of n + 1
+    # entries is allocated.
+    text = "ddfem-matrix v1 n=1000000000000 symmetric=upper\nentry 1 1 2\n"
+
+    def load():
+        with pytest.raises(MeshFormatError, match="bad header") as exc:
+            load_matrix_text(text)
+        assert exc.value.line == 1
+    assert traced_peak(load) < 2 ** 20
+    with pytest.raises(MeshFormatError, match="n=3 exceeds the 2 entry lines") as exc:
+        load_matrix_text("ddfem-matrix v1 n=3 symmetric=upper\n# K\n"
+                         "entry 1 1 2\n\nentry 2 2 1\n")
+    assert exc.value.line == 1
+    back = load_matrix_text("ddfem-matrix v1 n=2 symmetric=upper\n# K\n"
+                            "entry 1 1 2\n\nentry 2 2 1\n")
+    np.testing.assert_array_equal(back.toarray(), np.diag([2.0, 1.0]))
 
 
 def test_matrix_text_rejects_repeated_entry():

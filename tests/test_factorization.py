@@ -1,4 +1,6 @@
 import io
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ddfem
+from ddfem.cli import main
 from ddfem.factorization import (
+    JACOBI_MAX_SWEEPS,
+    _gram_rows,
+    _jacobi_sweeps,
     _largest_norm,
     element_j_singular_values,
     local_incidence,
@@ -167,6 +173,131 @@ def test_largest_norm_2x2_closed_form_matches_reference(q, data):
     got = _largest_norm(blocks)
     want = _largest_norm_reference(blocks)
     assert np.all(np.abs(got - want.astype(float)) <= 2e-15 * want)
+    # The 2D closed form is the one expression below, bit for bit.
+    a, b = blocks[..., 0, 0], blocks[..., 0, 1]
+    c, e = blocks[..., 1, 0], blocks[..., 1, 1]
+    closed = (0.5 * (np.hypot(a + e, b - c) + np.hypot(a - e, b + c))).max(axis=1)
+    assert got.tobytes() == closed.tobytes()
+
+
+def _rotation3(a, b, c):
+    """The z-y-z Euler rotation of angles a, b, c."""
+    def about(axis, angle):
+        i, j = [k for k in range(3) if k != axis]
+        out = np.eye(3)
+        out[[i, i, j, j], [i, j, i, j]] = (np.cos(angle), -np.sin(angle),
+                                           np.sin(angle), np.cos(angle))
+        return out
+    return about(2, a) @ about(1, b) @ about(2, c)
+
+
+_ANGLES = st.tuples(*[st.floats(0, 2 * np.pi)] * 3)
+_UNIT = st.floats(-1, 1)
+
+# 3 x 3 blocks the Jacobi kernel must get right: arbitrary entries, exactly
+# diagonal blocks (no rotation runs), nearly repeated singular values
+# (I + 1e-3 R), and U diag(1, s2, s3) V^T with s2, s3 down to 1e-16.
+_BLOCK3 = st.one_of(
+    st.lists(st.floats(-8, 8), min_size=9, max_size=9).map(
+        lambda v: np.array(v).reshape(3, 3)),
+    st.lists(st.floats(-8, 8), min_size=3, max_size=3).map(np.diag),
+    st.lists(_UNIT, min_size=9, max_size=9).map(
+        lambda v: np.eye(3) + 1e-3 * np.array(v).reshape(3, 3)),
+    st.tuples(_ANGLES, _ANGLES, st.floats(0, 12), st.floats(0, 16)).map(
+        lambda t: _rotation3(*t[0]) @ np.diag([1.0, 10.0 ** -t[2], 10.0 ** -t[3]])
+        @ _rotation3(*t[1])),
+)
+
+
+def _svd_largest_norm(blocks):
+    return np.linalg.svd(blocks, compute_uv=False)[..., 0].max(axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.integers(1, 5), scale=st.sampled_from([-330, 0, 330]), data=st.data())
+def test_largest_norm_3x3_jacobi_matches_svd(q, scale, data):
+    # Blocks scaled by 2**-330 or 2**330 square to below or above the double
+    # range; the kernel's power-of-two scaling keeps them exact.
+    groups = data.draw(st.lists(st.lists(_BLOCK3, min_size=q, max_size=q),
+                                min_size=1, max_size=6))
+    blocks = np.ldexp(np.array(groups), scale)
+    given_blocks = blocks.copy()
+    got = _largest_norm(blocks)
+    assert blocks.tobytes() == given_blocks.tobytes()
+    want = _svd_largest_norm(blocks)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+def _spd_stacks(rng, count):
+    """Random, nearly repeated and nearly rank-deficient 3 x 3 blocks."""
+    q1 = np.linalg.qr(rng.standard_normal((count, 3, 3)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((count, 3, 3)))[0]
+    spread = 10.0 ** -rng.uniform(0, 16, (count, 3))
+    spread[:, 0] = 1.0
+    return {
+        "random": rng.standard_normal((count, 3, 3)),
+        "nearly repeated": np.eye(3) + 1e-3 * rng.standard_normal((count, 3, 3)),
+        "repeated": q1 @ np.diag([2.0, 2.0, 1.0]) @ q2,
+        "nearly rank-deficient": q1 * spread[:, None, :] @ q2,
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_jacobi_converges_within_the_sweep_cap(seed):
+    rng = np.random.default_rng(seed)
+    for name, blocks in _spd_stacks(rng, 20000).items():
+        g, _ = _gram_rows(blocks)
+        sweeps = _jacobi_sweeps(g)
+        assert sweeps < JACOBI_MAX_SWEEPS, name
+        off = g[3] ** 2 + g[4] ** 2 + g[5] ** 2
+        assert np.all(off <= (np.finfo(float).eps * (g[0] + g[1] + g[2])) ** 2), name
+
+
+def test_jacobi_leaves_diagonal_blocks_alone():
+    blocks = np.zeros((4, 3, 3))
+    blocks[:, [0, 1, 2], [0, 1, 2]] = [[3.0, 1.0, 2.0], [1.0, 1.0, 1.0],
+                                       [0.0, 0.0, 0.0], [-5.0, 0.5, 0.0]]
+    g, e = _gram_rows(blocks)
+    assert _jacobi_sweeps(g) == 0
+    np.testing.assert_array_equal(_largest_norm(blocks.reshape(4, 1, 3, 3)),
+                                  [3.0, 1.0, 0.0, 5.0])
+
+
+def test_largest_norm_3x3_nonfinite_block_is_nan():
+    blocks = np.ones((3, 2, 3, 3))
+    blocks[0, 1, 0, 0] = np.inf
+    blocks[1, 0, 2, 1] = np.nan
+    got = _largest_norm(blocks)
+    assert np.isnan(got[:2]).all()
+    assert got[2] == pytest.approx(3.0, rel=1e-15)
+
+
+def _report_numbers(path, capsys):
+    assert main(["report", "--mesh", str(path), "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_alpha_beta_and_report_invariant_under_scaling(p, tmp_path, capsys):
+    # A sheared cube scaled by 1e-100 and 1e100: the Jacobian norms scale
+    # with it and the dimensionless report numbers do not.  The Gram blocks
+    # of the scaled meshes hold entries near 1e-200 and 1e200.
+    shear = np.array([[1.0, 0.3, 0.1], [0.0, 1.2, -0.2], [0.1, 0.0, 0.8]])
+    mesh = ddfem.gen_structured_cube(2, p=p)
+    mesh = replace(mesh, nodes=mesh.nodes @ shear.T)
+    base = ddfem.build_system(mesh)
+    ddfem.save_mesh(mesh, tmp_path / "base.mesh")
+    want = _report_numbers(tmp_path / "base.mesh", capsys)
+    for s in (1e-100, 1e100):
+        scaled_mesh = replace(mesh, nodes=mesh.nodes * s)
+        scaled = ddfem.build_system(scaled_mesh)
+        np.testing.assert_allclose(scaled.alpha * s, base.alpha, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(scaled.factors.beta / s, base.factors.beta,
+                                   rtol=1e-14, atol=0)
+        ddfem.save_mesh(scaled_mesh, tmp_path / "scaled.mesh")
+        got = _report_numbers(tmp_path / "scaled.mesh", capsys)
+        for key in ("kappa1", "kappa2", "chi2", "chi3"):
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0), key
 
 
 def meshes_for_identity():

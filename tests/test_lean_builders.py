@@ -6,14 +6,13 @@ transpose and gather int64 triplets.  Every value, index and dtype must agree
 bit for bit, and the builders' scratch memory is bounded.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import ddfem
 from ddfem import assembly, dd_approx
 
+from conftest import traced_peak
 from oracles import (
     averaged_tensor_stiffness,
     coo_mirrored_csr,
@@ -60,21 +59,6 @@ def test_builders_match_averaging_int64_oracles(name):
         ref = coo_mirrored_csr(n, *triplets)
         for field in ("indptr", "indices", "data"):
             assert_bitwise(getattr(got, field), getattr(ref, field))
-
-
-def traced_peak(build) -> int:
-    """Bytes allocated at the peak of ``build()`` above its start (tracemalloc)."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        build()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 # Peaks on cube k=4 p=2 (m=384, n=343), in bytes: element_stiffness 474992,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddfem
+from ddfem.cli import main
 from ddfem.errors import (
     ConductivityPositivityError,
     MeshFormatError,
@@ -24,7 +25,7 @@ from ddfem.mesh import (
 )
 from ddfem.reference_element import node_count
 
-from conftest import ring_snap
+from conftest import ring_snap, traced_peak
 
 SINGLE_TRIANGLE = """ddfem-mesh v1 d=2 p=1
 node 1 0 0 0
@@ -266,6 +267,30 @@ def test_reader_rejections(edits, line, fragment):
         ddfem.load_mesh(io.StringIO(_edited(edits)))
     assert exc.value.line == line
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("edits,message", [
+    ({5: "node 3 1 1 0"}, "line 5: duplicate node index 3"),
+    ({7: "elem 3 1 4 3"}, "element indices must be exactly 1..2"),
+    ({9: "theta elem 1 7"}, "line 9: duplicate theta record for element 1"),
+    ({5: "node 99999999999 1 1 0"}, "node indices must be exactly 1..4"),
+    ({7: "elem 99999999999 1 4 3"}, "element indices must be exactly 1..2"),
+    ({9: "theta elem 99999999999 4"}, "theta lines must cover every element exactly once"),
+])
+def test_index_rejections_keep_message_line_and_exit_code(edits, message, tmp_path,
+                                                          capsys):
+    # Each record kind's indices get one bounds-then-bincount check; an index
+    # of 1e11 must neither pass nor size an array.
+    text = _edited(edits)
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    assert main(["report", "--mesh", str(path)]) == 4
+    assert capsys.readouterr().err == f"i/o error: {message}\n"
+
+    def load():
+        with pytest.raises(MeshFormatError):
+            ddfem.load_mesh(io.StringIO(text))
+    assert traced_peak(load) < 2 ** 20
 
 
 def _large_mesh_lines():
