@@ -1,8 +1,8 @@
 """Global support check ladder: seconds of ``global_support_check`` per mesh.
 
 For each structured mesh (constant conductivity) it builds the system and the
-chi chain once, then times ``spectral.global_support_check`` with no size
-limit (best of ``--repeat``) and prints n, the seconds and the three global
+H blocks once, then times ``spectral.global_support_check`` at every size
+(best of ``--repeat``) and prints n, the seconds and the three global
 numbers it reports: sigma(K, Kbar), sigma(Kbar, K) and kappa(K, Kbar).  Run
 it against two checkouts (``PYTHONPATH=<checkout>/src``) to compare them.
 
@@ -41,9 +41,7 @@ def main():
         for _ in range(args.repeat):
             start = time.perf_counter()
             report = global_support_check(system.stiffness, system.kbar,
-                                          bundle.chi,
-                                          bundle.h_blocks.kappa_global,
-                                          size_limit=n)
+                                          bundle.h_blocks)
             best = min(best, time.perf_counter() - start)
         print(f"{name:<16} {n:>6} {best:>9.4f} {report.sigma_k_kbar:>17.10g} "
               f"{report.sigma_kbar_k:>17.10g} {report.kappa:>17.10g}",

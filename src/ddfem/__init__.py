@@ -19,7 +19,6 @@ from .dd_approx import (
 from .factorization import (
     IncidenceMatrix,
     build_incidence,
-    save_incidence,
     verify_first_factorization,
 )
 from .mesh import (
@@ -46,8 +45,6 @@ from .reference_element import (
     ReferenceElement,
     SqpMatrix,
     build_sqp,
-    eval_shape,
-    eval_shape_gradient,
     make_reference,
 )
 from .solver import SolveResult, cg_iteration_bound, factor_kbar, pcg_solve
@@ -56,7 +53,6 @@ from .spectral import (
     chi_report,
     condition_pair,
     global_support_check,
-    support_number,
 )
 
 __version__ = "0.1.0"
@@ -88,8 +84,6 @@ __all__ = [
     "element_geometry",
     "element_stiffness",
     "eval_conductivity",
-    "eval_shape",
-    "eval_shape_gradient",
     "exact_monomial_integral",
     "factor_kbar",
     "gen_structured_cube",
@@ -101,11 +95,9 @@ __all__ = [
     "make_reference",
     "make_rule",
     "pcg_solve",
-    "save_incidence",
     "save_matrix_text",
     "save_mesh",
     "standard_rule",
-    "support_number",
     "transform_mesh",
     "verify_exactness",
     "verify_first_factorization",

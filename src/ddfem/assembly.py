@@ -199,18 +199,20 @@ def element_geometry(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
     """Jacobians, inverse transposes, determinants and conductivities of all elements.
 
     Raises ElementOrientationError for the first element and Gauss point
-    whose determinant is not positive (or vanishing relative to the Jacobian
-    scale, or NaN), and lets the conductivity field's own positivity error
-    propagate.
+    whose determinant is not finite, not positive, or vanishing relative to
+    the Jacobian scale (compared exactly at unit scale, with no overflow),
+    and lets the conductivity field's own positivity error propagate.
     """
     vals, grads = tables if tables is not None else reference_tables(ref, rule)
     d = mesh.d
     coords = mesh.nodes[mesh.elements]                       # (m, l, d)
-    # J[t, k] = coords[t]^T grads[k]
-    jac = coords.swapaxes(1, 2)[:, None] @ grads             # (m, q, d, d)
-    dets = _det_small(jac)
-    scale = np.abs(jac).max(axis=(-2, -1))
-    bad = ~(dets > DEGENERACY_RTOL * scale ** d)
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected below
+        # J[t, k] = coords[t]^T grads[k]
+        jac = coords.swapaxes(1, 2)[:, None] @ grads         # (m, q, d, d)
+        dets = _det_small(jac)
+        mant, e = np.frexp(np.abs(jac).max(axis=(-2, -1)))   # scale = mant * 2**e
+        bad = ~(np.isfinite(dets)
+                & (np.ldexp(dets, -d * e) > DEGENERACY_RTOL * mant ** d))
     if bad.any():
         t, k = np.argwhere(bad)[0]
         raise ElementOrientationError(int(t), int(k), float(dets[t, k]))

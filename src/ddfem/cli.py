@@ -137,7 +137,7 @@ def build_parser() -> _Parser:
     _add_input_options(verify)
     verify.add_argument("--dense-limit", type=int, default=None,
                         help="largest n for the global support checks "
-                             f"(default {pipeline.spectral.DEFAULT_SIZE_LIMIT}); "
+                             f"(default {pipeline.DEFAULT_DENSE_LIMIT}); "
                              "the checks form no dense matrix")
 
     solve = subs.add_parser("solve", help="preconditioned conjugate gradient demo")
@@ -263,8 +263,8 @@ def _report_dict(system, bundle) -> dict:
         "n": system.mesh.n_free,
         "kappa1": qual.kappa1,
         "kappa2": qual.kappa2,
-        "chi1": bundle.chi.max_chi1,
-        "chi2": bundle.chi.max_chi2,
+        "chi1": bundle.h_blocks.max_kappa_element,   # chi1 = chi2 per element
+        "chi2": bundle.h_blocks.max_kappa_element,
         "chi3": bundle.chi.chi3,
         "sigma_qp": qual.sigma_qp,
         "tau_qp": qual.tau_qp,

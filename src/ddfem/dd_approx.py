@@ -30,15 +30,6 @@ from .quadrature import QuadratureRule
 from .quality import QualityReport
 
 
-@dataclass(frozen=True)
-class DbarBlocks:
-    """Per-element scalar of the diagonal replacement block (times identity)."""
-
-    scalars: np.ndarray  # (m,) m_q * f_t * g_t * alpha_t^2
-    f: np.ndarray        # (m,) min conductivity over Gauss points
-    g: np.ndarray        # (m,) min Jacobian determinant over Gauss points
-
-
 # A Gram block whose eigenvalue ratio exceeds this (or whose smallest
 # eigenvalue is not positive) has its spectrum recomputed by an SVD.
 GRAM_KAPPA_LIMIT = 1e4
@@ -68,17 +59,17 @@ class HBlocks:
 
 
 def build_dbar(alpha: np.ndarray, geometries: ElementGeometry,
-               rule: QuadratureRule) -> DbarBlocks:
-    """Scalar diagonal blocks: smallest weight times per-element minima.
+               rule: QuadratureRule) -> np.ndarray:
+    """Scalars (m,) of the diagonal blocks: m_q * min theta * min det * alpha^2.
 
     ``alpha`` is the per-element maximum compression (``element_alpha``).
     """
     f = geometries.theta_vals.min(axis=1)
     g = geometries.dets.min(axis=1)
-    return DbarBlocks(scalars=rule.m_q * f * g * alpha ** 2, f=f, g=g)
+    return rule.m_q * f * g * alpha ** 2
 
 
-def build_kbar(incidence: IncidenceMatrix, dbar: DbarBlocks) -> sp.csr_matrix:
+def build_kbar(incidence: IncidenceMatrix, dbar: np.ndarray) -> sp.csr_matrix:
     """Weighted graph Laplacian on the star arcs, Dirichlet rows deleted.
 
     Each arc adds its element's scalar to both endpoint diagonals and
@@ -88,7 +79,7 @@ def build_kbar(incidence: IncidenceMatrix, dbar: DbarBlocks) -> sp.csr_matrix:
     """
     arcs = incidence.arcs.astype(index_dtype(incidence.n), copy=False)
     tail, head = arcs[:, 0], arcs[:, 1]
-    s = np.repeat(dbar.scalars, incidence.l - 1)
+    s = np.repeat(dbar, incidence.l - 1)
     has_tail, has_head = tail >= 0, head >= 0
     both = has_tail & has_head
     diag = np.concatenate([tail[has_tail], head[has_head]])
@@ -100,18 +91,18 @@ def build_kbar(incidence: IncidenceMatrix, dbar: DbarBlocks) -> sp.csr_matrix:
     return mirrored_csr(incidence.n, rows, cols, vals)
 
 
-def _scaled_blocks(factors: ElementFactors, dbar: DbarBlocks,
+def _scaled_blocks(factors: ElementFactors, dbar: np.ndarray,
                    rows=slice(None)) -> np.ndarray:
     """diag(d)^(1/2) j / sqrt(scalar) of the selected elements, in one buffer.
 
     Elementwise, so a block is bitwise the same whichever rows are selected.
     """
     scaled = np.sqrt(factors.d_diag[rows])[:, :, None] * factors.j[rows]
-    scaled /= np.sqrt(dbar.scalars[rows])[:, None, None]
+    scaled /= np.sqrt(dbar[rows])[:, None, None]
     return scaled
 
 
-def build_h_blocks(factors: ElementFactors, dbar: DbarBlocks) -> HBlocks:
+def build_h_blocks(factors: ElementFactors, dbar: np.ndarray) -> HBlocks:
     """Normalized middle blocks: scaled j with the diagonal replacement pulled out.
 
     The scaled block for element t is diag(d)^(1/2) j / sqrt(scalar_t); its
@@ -170,8 +161,8 @@ def chi3_element_bounds(quality: QualityReport) -> np.ndarray:
 
 
 def refactorization_residuals(factors: ElementFactors,
-                              dbar: DbarBlocks, h_blocks: HBlocks) -> np.ndarray:
+                              dbar: np.ndarray, h_blocks: HBlocks) -> np.ndarray:
     """Relative error of middle-product = scalar * H per element (identity check)."""
-    return relative_residuals(dbar.scalars[:, None, None] * h_blocks.h,
+    return relative_residuals(dbar[:, None, None] * h_blocks.h,
                               factors.gram())
 

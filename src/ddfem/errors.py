@@ -9,6 +9,8 @@ exit codes.
 
 from __future__ import annotations
 
+import math
+
 
 class DDFemError(Exception):
     """Base class for all errors raised by this package."""
@@ -41,16 +43,20 @@ class ConductivityPositivityError(MethodAssumptionError):
 
 
 class ElementOrientationError(MethodAssumptionError):
-    """An element mapping has a nonpositive (or NaN) Jacobian determinant."""
+    """An element mapping's Jacobian determinant is not positive, tiny or not finite."""
 
     def __init__(self, element: int, gauss_point: int, det: float):
         self.element = element
         self.gauss_point = gauss_point
         self.det = det
-        super().__init__(
-            f"element {element + 1}: Jacobian determinant {det:g} at Gauss point "
-            f"{gauss_point + 1} is not positive (inverted or degenerate element)"
-        )
+        if not math.isfinite(det):
+            why = "is not finite (coordinates too large or not finite)"
+        elif det > 0.0:
+            why = "is too small for the element's size (degenerate element)"
+        else:
+            why = "is not positive (inverted or degenerate element)"
+        super().__init__(f"element {element + 1}: Jacobian determinant {det:g} "
+                         f"at Gauss point {gauss_point + 1} {why}")
 
 
 class QuadratureWeightError(MethodAssumptionError):
@@ -85,7 +91,7 @@ class MeshFormatError(DDFemError):
         super().__init__(message)
 
 
-class MeshInvariantError(DDFemError):
+class MeshInvariantError(MeshFormatError):
     """Mesh data violates a structural invariant (bad index, duplicate node, ...)."""
 
 
@@ -107,10 +113,6 @@ class SingularSystemError(DDFemError):
     def __init__(self, message: str, component=None):
         self.component = component
         super().__init__(message)
-
-
-class SizeLimitError(DDFemError):
-    """A verification was requested beyond the configured size limit."""
 
 
 class EigensolverError(DDFemError):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,22 +106,6 @@ def build_incidence(mesh: Mesh) -> IncidenceMatrix:
     arcs = np.stack([np.where(tail < n, tail, -1), np.where(head < n, head, -1)],
                     axis=1)
     return IncidenceMatrix(n=n, m=m, l=l, arcs=arcs)
-
-
-def save_incidence(inc: IncidenceMatrix, target) -> None:
-    """Debug dump as an edge list: ``arc <from> <to>``, 0 for an omitted endpoint."""
-    close = False
-    if isinstance(target, (str, Path)):
-        fh = open(target, "w", encoding="utf-8")
-        close = True
-    else:
-        fh = target
-    try:
-        for tail, head in inc.arcs:
-            fh.write(f"arc {tail + 1 if tail >= 0 else 0} {head + 1 if head >= 0 else 0}\n")
-    finally:
-        if close:
-            fh.close()
 
 
 # Most cyclic Jacobi sweeps ``_jacobi_sweeps`` runs.  Cyclic Jacobi
@@ -279,9 +262,8 @@ IDENTITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Residuals of the stiffness identity, element-wise and assembled."""
+    """Largest residuals of the stiffness identity, element-wise and assembled."""
 
-    element_residuals: np.ndarray
     max_element_residual: float
     global_residual: float
 
@@ -327,7 +309,6 @@ def verify_first_factorization(mesh: Mesh, factors: ElementFactors,
         global_residual = float(spla.norm(diff) / denom) if denom > 0 else 0.0
 
     return FactorizationReport(
-        element_residuals=residuals,
         max_element_residual=float(residuals.max()) if m else 0.0,
         global_residual=global_residual,
     )

@@ -10,7 +10,6 @@ permutation.
 from __future__ import annotations
 
 import functools
-import io
 import warnings
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -88,22 +87,38 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshInvariantError(
             f"node coordinates have {mesh.nodes.shape[1]} components, expected {mesh.d}"
         )
-    if mesh.elements.size and (mesh.elements.min() < 0 or mesh.elements.max() >= n):
-        raise MeshInvariantError("element references a node index out of range")
-    ordered = np.sort(mesh.elements, axis=1)
-    repeats = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-    if repeats.size:
-        raise MeshInvariantError(f"element {repeats[0] + 1} repeats a node")
-    referenced = np.zeros(n, dtype=bool)
-    referenced[mesh.elements.reshape(-1)] = True
-    if not referenced.all():
-        orphan = int(np.flatnonzero(~referenced)[0])
-        raise MeshInvariantError(f"node {orphan + 1} is not referenced by any element")
+    problem = _reference_problem(mesh.elements, n)
+    if problem:
+        kind, i, what = problem
+        raise MeshInvariantError(f"{kind} {i + 1} {what}")
     free = ~mesh.dirichlet
     if free.size and not np.all(free[: mesh.n_free]):
         raise MeshInvariantError("non-Dirichlet nodes must precede Dirichlet nodes")
     if mesh.theta_elem is not None and len(mesh.theta_elem) != mesh.n_elements:
         raise MeshInvariantError("per-element conductivity length does not match m")
+
+
+def _reference_problem(elements: np.ndarray, n: int):
+    """(kind, 0-based row or node, what) of the first bad node reference, or None.
+
+    First a row of ``elements`` with a node outside 0..n-1 or repeated, then
+    a node no row references.
+    """
+    outside = (elements < 0) | (elements >= n)
+    ordered = np.sort(elements, axis=1)
+    repeats = ordered[:, 1:] == ordered[:, :-1]
+    bad = outside.any(axis=1) | repeats.any(axis=1)
+    if bad.any():
+        t = int(np.argmax(bad))
+        if outside[t].any():
+            return ("element", t, f"references node {elements[t][outside[t]][0] + 1}, "
+                                  f"out of range 1..{n}")
+        return "element", t, f"repeats node {ordered[t, 1:][repeats[t]][0] + 1}"
+    referenced = np.zeros(n, dtype=bool)
+    referenced[elements.reshape(-1)] = True
+    if not referenced.all():
+        return "node", int(np.argmax(~referenced)), "is not referenced by any element"
+    return None
 
 
 def normalize_numbering(mesh: Mesh) -> Mesh:
@@ -171,13 +186,17 @@ def _read_lines(lines: list, d: int, l: int) -> tuple:
 
     This loop defines the format: tokens are ``str.split`` fields, numbers
     are Python ``int()`` and ``float()``, and the first bad line in file
-    order raises MeshFormatError.  Returns, in file order, the node indices,
+    order raises MeshFormatError, as does a repeated index or one outside
+    1..count (the number of node lines for nodes, of element lines for
+    elements and theta).  Returns, in file order, the node indices,
     coordinates and Dirichlet flags, the element indices and node lists, and
     the theta element indices and values.
     """
     node_rows: dict[int, list] = {}     # coordinates, then the flag
     elem_rows: dict[int, list[int]] = {}
     theta_rows: dict[int, float] = {}
+    kinds = [raw.split()[:1] for raw in lines[1:]]
+    n, m = kinds.count(["node"]), kinds.count(["elem"])
     for ln, raw in enumerate(lines[1:], start=2):
         tok = raw.split()
         if not tok or tok[0].startswith("#"):
@@ -196,6 +215,8 @@ def _read_lines(lines: list, d: int, l: int) -> tuple:
                     raise ValueError(f"dirichlet flag must be 0 or 1, got {flag}")
                 if idx in node_rows:
                     raise ValueError(f"duplicate node index {idx}")
+                if not 1 <= idx <= n:
+                    raise ValueError(f"node indices must be exactly 1..{n}")
                 node_rows[idx] = coords + [flag]
             elif kind == "elem":
                 if len(tok) != 2 + l:
@@ -203,6 +224,8 @@ def _read_lines(lines: list, d: int, l: int) -> tuple:
                 idx = int(tok[1])
                 if idx in elem_rows:
                     raise ValueError(f"duplicate element index {idx}")
+                if not 1 <= idx <= m:
+                    raise ValueError(f"element indices must be exactly 1..{m}")
                 elem_rows[idx] = [int(v) for v in tok[2:]]
             elif kind == "theta":
                 if len(tok) != 4 or tok[1] != "elem":
@@ -213,11 +236,17 @@ def _read_lines(lines: list, d: int, l: int) -> tuple:
                 idx = int(tok[2])
                 if idx in theta_rows:
                     raise ValueError(f"duplicate theta record for element {idx}")
+                if not 1 <= idx <= m:
+                    raise ValueError("theta lines must cover every element exactly once")
                 theta_rows[idx] = value
             else:
                 raise ValueError(f"unknown record {kind!r}")
         except ValueError as exc:
             raise MeshFormatError(str(exc), line=ln) from None
+    if 0 < len(theta_rows) < m:   # named at the first element without theta
+        missing = next(t for t in range(1, m + 1) if t not in theta_rows)
+        raise MeshFormatError("theta lines must cover every element exactly once",
+                              line=_record_line(lines, "elem", missing))
     nodes = np.array(list(node_rows.values()), dtype=float).reshape(-1, d + 1)
     return (_int_array(list(node_rows)), nodes[:, :d], nodes[:, d] == 1,
             _int_array(list(elem_rows)),
@@ -257,8 +286,7 @@ def _read_arrays(lines: list, d: int, l: int) -> tuple | None:
     from a string field, so ``node`` followed by a NUL would read as ``node``.
     So is a record kind whose indices are not exactly 1..count (a repeated
     index among them), with count the number of node lines for nodes and of
-    element lines for elements and theta: what this returns needs no further
-    index check.
+    element lines for elements and theta, which ``_read_lines`` rejects.
     """
     if "\x00" in "".join(lines):
         return None
@@ -296,6 +324,12 @@ def _is_one_to(idx: np.ndarray, count: int) -> bool:
     return bool(np.bincount(idx).max() == 1)
 
 
+def _record_line(lines: list, kind: str, index: int) -> int:
+    """Line of the ``kind`` record with ``index`` in a readable text (for errors)."""
+    return next(ln for ln, raw in enumerate(lines[1:], start=2)
+                if raw.split()[:1] == [kind] and int(raw.split()[1]) == index)
+
+
 def _from_one_to(idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``rows`` put in index order, for indices known to be 1..len(rows)."""
     out = np.empty_like(rows)
@@ -306,9 +340,10 @@ def _from_one_to(idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def load_mesh(source) -> Mesh:
     """Parse a mesh from a path, text, bytes, or file-like object.
 
-    Every rejection names the first bad line in file order.  Node numbering
-    is normalized (Dirichlet last) after parsing; the applied permutation, if
-    any, is recorded on the mesh.
+    Every rejection names the first bad line in file order, or for a bad
+    node reference (MeshInvariantError) the record's line.  Node numbering
+    is normalized (Dirichlet last) after parsing; the applied permutation,
+    if any, is recorded on the mesh.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         with open(source, "r", encoding="utf-8") as fh:
@@ -336,45 +371,28 @@ def load_mesh(source) -> Mesh:
         raise MeshFormatError(f"unsupported d={d} p={p}", line=1)
 
     l = node_count(d, p)
-    # The whole-column reader checks every record kind's indices; only what
-    # the line-by-line reader returns is checked here.
-    arrays = _read_arrays(lines, d, l)
-    checked = arrays is not None
+    # Both readers return record indices that are exactly 1..count.
     node_idx, coords, flags, elem_idx, elem_nodes, theta_idx, theta_values = (
-        arrays if checked else _read_lines(lines, d, l))
+        _read_arrays(lines, d, l) or _read_lines(lines, d, l))
 
     n_nodes = len(node_idx)
     if n_nodes == 0:
         raise MeshFormatError("mesh has no nodes", line=1)
-    if not (checked or _is_one_to(node_idx, n_nodes)):
-        raise MeshFormatError(f"node indices must be exactly 1..{n_nodes}")
-    m = len(elem_idx)
-    if m == 0:
+    if len(elem_idx) == 0:
         raise MeshFormatError("mesh has no elements")
-    if not (checked or _is_one_to(elem_idx, m)):
-        raise MeshFormatError(f"element indices must be exactly 1..{m}")
+    theta = _from_one_to(theta_idx, theta_values) if len(theta_idx) else None
 
-    theta = None
-    if len(theta_idx):
-        if not (checked or _is_one_to(theta_idx, m)):
-            raise MeshFormatError("theta lines must cover every element exactly once")
-        theta = _from_one_to(theta_idx, theta_values)
-
-    elements = _from_one_to(elem_idx, elem_nodes) - 1
-    # Checked before renumbering, where a negative index would wrap around.
-    if (elements < 0).any() or (elements >= n_nodes).any():
-        raise MeshInvariantError("element references a node index out of range")
-    mesh = Mesh(d=d, p=p, nodes=_from_one_to(node_idx, coords), elements=elements,
+    # In file order and numbering: renumbering would wrap a negative number.
+    problem = _reference_problem(elem_nodes - 1, n_nodes)
+    if problem:
+        kind, i, what = problem
+        index = elem_idx[i] if kind == "element" else i + 1
+        raise MeshInvariantError(f"{kind} {index} {what}", line=_record_line(
+            lines, "elem" if kind == "element" else "node", index))
+    mesh = Mesh(d=d, p=p, nodes=_from_one_to(node_idx, coords),
+                elements=_from_one_to(elem_idx, elem_nodes) - 1,
                 dirichlet=_from_one_to(node_idx, flags), theta_elem=theta)
-    mesh = normalize_numbering(mesh)
-    validate_mesh(mesh)
-    return mesh
-
-
-def mesh_to_text(mesh: Mesh) -> str:
-    buf = io.StringIO()
-    save_mesh(mesh, buf)
-    return buf.getvalue()
+    return normalize_numbering(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -488,25 +506,16 @@ def _edge_table(mesh: Mesh):
     else:
         ordered = np.sort(mesh.elements, axis=1)
         faces = ordered[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].reshape(-1, 3)
-        uniq_faces, face_counts = np.unique(faces, axis=0, return_counts=True)
-        outer = uniq_faces[face_counts == 1]
+        # Equal faces sort next to each other; a run of one is a boundary face.
+        faces = faces[np.lexsort(faces.T[::-1])]
+        starts = np.flatnonzero(np.concatenate(
+            [[True], (faces[1:] != faces[:-1]).any(axis=1), [True]]))
+        outer = faces[starts[:-1][np.diff(starts) == 1]]
         face_edges = outer[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
         edge_keys = edges[:, 0].astype(np.int64) * mesh.n_nodes + edges[:, 1]
         on_boundary = np.isin(edge_keys, face_edges[:, 0].astype(np.int64)
                               * mesh.n_nodes + face_edges[:, 1])
     return edges, edge_of, on_boundary
-
-
-def boundary_edges(mesh: Mesh) -> set[tuple[int, int]]:
-    """Edges lying on the mesh boundary.
-
-    2D: edges belonging to exactly one triangle.  3D: edges of faces belonging
-    to exactly one tetrahedron.  Only order-1 meshes are supported.
-    """
-    if mesh.p != 1:
-        raise UnsupportedConfigError("boundary detection expects an order-1 mesh")
-    edges, _, on_boundary = _edge_table(mesh)
-    return set(map(tuple, edges[on_boundary].tolist()))
 
 
 def insert_midpoints(mesh: Mesh, snap=None) -> Mesh:
@@ -590,7 +599,6 @@ class ConductivityField:
     kind: str
     constant: float = 1.0
     per_element: np.ndarray | None = None
-    expression: str | None = None
     fn: object = None
 
     @staticmethod
@@ -621,7 +629,7 @@ class ConductivityField:
             value = eval(code, {"__builtins__": {}}, env)
             return np.broadcast_to(np.asarray(value, dtype=float), points.shape[:-1])
 
-        return ConductivityField(kind="expression", expression=text, fn=fn)
+        return ConductivityField(kind="expression", fn=fn)
 
 
 def eval_conductivity(field: ConductivityField, x, element=None) -> np.ndarray:

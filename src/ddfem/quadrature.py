@@ -10,7 +10,7 @@ used to audit polynomial exactness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +47,7 @@ class ExactnessReport:
 
     degree: int
     max_error: float
-    tolerance: float
     failures: tuple = ()   # (exponents, rule value, exact value, abs error)
-    entries: tuple = field(default=(), repr=False)
 
     @property
     def passed(self) -> bool:
@@ -154,7 +152,6 @@ def verify_exactness(rule: QuadratureRule, degree: int,
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    entries = []
     failures = []
     max_error = 0.0
     for exps in _monomials_up_to(rule.d, degree):
@@ -165,12 +162,11 @@ def verify_exactness(rule: QuadratureRule, degree: int,
         approx = float(vals @ rule.weights)
         exact = exact_monomial_integral(exps)
         err = abs(approx - exact)
-        entries.append((exps, approx, exact, err))
         max_error = max(max_error, err)
         if err > tolerance:
             failures.append((exps, approx, exact, err))
-    return ExactnessReport(degree=degree, max_error=max_error, tolerance=tolerance,
-                           failures=tuple(failures), entries=tuple(entries))
+    return ExactnessReport(degree=degree, max_error=max_error,
+                           failures=tuple(failures))
 
 
 def parse_rule_records(records, d: int, name: str = "custom",

@@ -33,16 +33,6 @@ class QualityReport:
     m_q: float
     M_q: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kappa1": self.kappa1,
-            "kappa2": self.kappa2,
-            "theta_hat": self.theta_hat,
-            "sigma_qp": self.sigma_qp,
-            "tau_qp": self.tau_qp,
-            "weight_ratio": self.M_q / self.m_q,
-        }
-
 
 def compute_quality(geometries: ElementGeometry, factors: ElementFactors,
                     rule: QuadratureRule, sqp: SqpMatrix) -> QualityReport:

@@ -129,11 +129,6 @@ def make_reference(d: int, p: int) -> ReferenceElement:
                             coefficients=coefficients)
 
 
-def _check_node_index(elem: ReferenceElement, mu: int) -> None:
-    if not 1 <= mu <= elem.l:
-        raise IndexError(f"local node index {mu} out of range 1..{elem.l}")
-
-
 def _monomial_values(elem: ReferenceElement, z: np.ndarray) -> np.ndarray:
     vals = np.ones(elem.l)
     for c, e in enumerate(elem.exponents):
@@ -168,18 +163,6 @@ def shape_gradients(elem: ReferenceElement, z) -> np.ndarray:
     """Gradients of all l shape functions at a point, shape (l, d)."""
     z = np.asarray(z, dtype=float)
     return elem.coefficients.T @ _monomial_gradients(elem, z)
-
-
-def eval_shape(elem: ReferenceElement, mu: int, z) -> float:
-    """Value of shape function mu (1-based, matching mesh-file numbering) at z."""
-    _check_node_index(elem, mu)
-    return float(shape_values(elem, z)[mu - 1])
-
-
-def eval_shape_gradient(elem: ReferenceElement, mu: int, z) -> np.ndarray:
-    """Gradient of shape function mu (1-based) at z, as a length-d vector."""
-    _check_node_index(elem, mu)
-    return shape_gradients(elem, z)[mu - 1].copy()
 
 
 def build_sqp(elem: ReferenceElement, quad) -> SqpMatrix:

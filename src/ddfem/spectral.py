@@ -9,11 +9,11 @@ gradient behavior when one matrix preconditions the other.
 
 Element pencils need no eigensolve of their own: each has the spectrum of its
 element's middle block, whose singular values the approximation already holds
-(see ``chi_report``).  ``condition_pair`` and ``support_number`` solve small
-pencils, single or stacked, densely and all at once.  The assembled pair is
-checked without forming a dense matrix: one node of every floating component
-of Kbar is grounded, which leaves an SPD pencil with the same eigenvalues off
-the nullspace, and Lanczos iterations on sparse factors find its two extreme
+(see ``chi_report``).  ``condition_pair`` solves small pencils, single or
+stacked, densely and all at once.  The assembled pair is checked without
+forming a dense matrix: one node of every floating component of Kbar is
+grounded, which leaves an SPD pencil with the same eigenvalues off the
+nullspace, and Lanczos iterations on sparse factors find its two extreme
 eigenvalues.  The largest element support bounds the top one (the splitting
 lemma), so where Kbar has no star leaves to eliminate the top eigenvalue
 comes from shift-invert at that bound, once a factor has certified it.
@@ -29,7 +29,7 @@ import scipy.sparse.linalg as spla
 
 from .dd_approx import HBlocks, chi3_element_bounds
 from .errors import (ConsistencyError, EigensolverError, InfiniteSupportError,
-                     SingularSystemError, SizeLimitError)
+                     SingularSystemError)
 from .solver import KbarFactor, floating_components, leaf_rows, spd_splu
 
 # Eigenvalues below this multiple of the largest count as nullspace; both the
@@ -41,9 +41,6 @@ NULLSPACE_RTOL = 1e-10
 # compare: the chain holds in exact arithmetic, so a violation beyond this can
 # only come from a broken construction.
 ORDER_RTOL = 1e-8
-
-# Largest reduced system the global support check accepts by default.
-DEFAULT_SIZE_LIMIT = 2000
 
 # Grounded pencils smaller than this are solved densely: ARPACK needs more
 # unknowns than Lanczos vectors (20 by default), and below a few dozen
@@ -89,13 +86,20 @@ def _check_annihilated(mat: np.ndarray, vecs: np.ndarray, null: np.ndarray,
         raise InfiniteSupportError(stacked[idx[:-1]][:, idx[-1]].copy())
 
 
-def _restricted_eigenvalues(a: np.ndarray, b: np.ndarray, null_rtol: float):
-    """Ascending eigenvalues of (a, b) restricted to the range of b, over stacks.
+def condition_pair(a: np.ndarray, b: np.ndarray, *,
+                   null_rtol: float = NULLSPACE_RTOL) -> PencilSpectrum:
+    """Restricted pencil eigenvalues plus both directed support numbers.
 
-    Every b block must have the same range rank, and a must annihilate the
-    nullspace of b; otherwise InfiniteSupportError.  The restricted pencil is
-    reduced by the Cholesky factor of its b part to a symmetric eigenproblem.
+    ``a`` and ``b`` are single matrices or stacks (..., n, n) that broadcast
+    against each other, so one shared b serves a whole stack of a.  Requires
+    every b block to have the same range rank and the two nullspaces to agree
+    in every pair (checked in both directions), else InfiniteSupportError.
+    The pencil restricted to the range of b is reduced by the Cholesky factor
+    of its b part to a symmetric eigenproblem; the condition number is the
+    spread of its eigenvalues.
     """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     wb, vb = np.linalg.eigh(b)
     null_b = _null_mask(wb, null_rtol)
     rank = null_b.shape[-1] - null_b.sum(axis=-1)
@@ -109,33 +113,7 @@ def _restricted_eigenvalues(a: np.ndarray, b: np.ndarray, null_rtol: float):
     qt = q.swapaxes(-1, -2)
     inv_chol = np.linalg.inv(np.linalg.cholesky(qt @ b @ q))
     reduced = inv_chol @ (qt @ a @ q) @ inv_chol.swapaxes(-1, -2)
-    return np.linalg.eigvalsh(0.5 * (reduced + reduced.swapaxes(-1, -2)))
-
-
-def support_number(a: np.ndarray, b: np.ndarray, *,
-                   null_rtol: float = NULLSPACE_RTOL):
-    """Largest generalized Rayleigh quotient of a over b outside b's nullspace.
-
-    Takes single matrices or stacks (..., n, n).  Raises InfiniteSupportError
-    (carrying the offending direction) when the quotient is unbounded.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return _restricted_eigenvalues(a, b, null_rtol)[..., -1]
-
-
-def condition_pair(a: np.ndarray, b: np.ndarray, *,
-                   null_rtol: float = NULLSPACE_RTOL) -> PencilSpectrum:
-    """Restricted pencil eigenvalues plus both directed support numbers.
-
-    ``a`` and ``b`` are single matrices or stacks (..., n, n) that broadcast
-    against each other, so one shared b serves a whole stack of a.  Requires
-    the two nullspaces to agree in every pair (checked in both directions);
-    the condition number is then the spread of the restricted eigenvalues.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    eig = _restricted_eigenvalues(a, b, null_rtol)
+    eig = np.linalg.eigvalsh(0.5 * (reduced + reduced.swapaxes(-1, -2)))
     wa, va = np.linalg.eigh(a)
     _check_annihilated(b, va, _null_mask(wa, null_rtol), null_rtol)
     lam_max = eig[..., -1]
@@ -152,27 +130,21 @@ def condition_pair(a: np.ndarray, b: np.ndarray, *,
 
 @dataclass(frozen=True)
 class ChiReport:
-    """Element-level approximation quality and the analytic bound chain."""
+    """Analytic chi3 bounds; chi1 = chi2 is ``HBlocks.kappa_per_element``."""
 
-    chi1: np.ndarray            # (m,) kappa(K_t, Kbar_t): the chi2 array itself
-    chi2: np.ndarray            # (m,) middle-block condition numbers
     chi3_element: np.ndarray    # (m,) element-local analytic bounds
     chi3: float                 # mesh-level analytic bound
-    support_k_kbar: np.ndarray  # (m,) directed supports of stiffness over approx
-    support_kbar_k: np.ndarray  # (m,)
-    max_chi1: float
-    max_chi2: float
 
 
 def chi_report(h_blocks: HBlocks, quality, chi3_value: float) -> ChiReport:
-    """Per-element chain: pair condition, middle condition, analytic bound.
+    """Check the chain chi1 = chi2 <= chi3_t <= chi3 and return the chi3 bounds.
 
     Element t's approximation is Kbar_t = s_t A^T A with A the onto star
     incidence, while K_t = A^T (s_t H_t) A.  On the range of A^T the pencil
     (K_t, Kbar_t) therefore has exactly the eigenvalues of H_t, the squared
     singular values of the scaled block (Boman & Hendrickson's splitting
     lemma).  So chi1 is chi2, the condition of H_t, and the directed supports
-    are sigma_max^2 and 1/sigma_min^2; everything comes from ``h_blocks``.
+    are sigma_max^2 and 1/sigma_min^2; all of them are read from ``h_blocks``.
     A smallest singular value that is not finite and positive leaves Kbar_t
     without support over K_t and raises InfiniteSupportError.
 
@@ -199,13 +171,7 @@ def chi_report(h_blocks: HBlocks, quality, chi3_value: float) -> ChiReport:
         name, lower, bound, upper = links[int(np.argmax(broken[:, t]))]
         raise ConsistencyError(f"element {t + 1}: {name} {lower[t]:.6g} exceeds "
                                f"{bound} {upper[t]:.6g}")
-    worst = float(chi2.max())
-    return ChiReport(
-        chi1=chi2, chi2=chi2, chi3_element=chi3_elem, chi3=chi3_value,
-        support_k_kbar=h_blocks.sigma_max ** 2,
-        support_kbar_k=1.0 / sigma_min ** 2,
-        max_chi1=worst, max_chi2=worst,
-    )
+    return ChiReport(chi3_element=chi3_elem, chi3=chi3_value)
 
 
 @dataclass(frozen=True)
@@ -217,7 +183,6 @@ class GlobalSupportReport:
     kappa: float
     max_element_sigma_k_kbar: float
     max_element_sigma_kbar_k: float
-    kappa_h: float
     splitting_ok: bool
     condition_bound_ok: bool
 
@@ -338,36 +303,33 @@ def _extreme_eigenvalues(a, b, upper: float) -> tuple[float, float]:
     return float(bottom[0]), top
 
 
-def global_support_check(stiffness, kbar, chi: ChiReport, kappa_h: float, *,
-                         size_limit: int = DEFAULT_SIZE_LIMIT
-                         ) -> GlobalSupportReport:
+def global_support_check(stiffness, kbar, h_blocks: HBlocks) -> GlobalSupportReport:
     """Check that assembled support numbers obey the element-wise maxima.
 
     Verifies the splitting bound (each directed global support is at most the
-    worst element value) and the middle-matrix route (the global pair condition
-    is at most the condition of the block-diagonal middle matrix).
+    worst element value, max sigma_max^2 or max 1/sigma_min^2 of ``h_blocks``)
+    and the middle-matrix route (the global pair condition is at most
+    ``h_blocks.kappa_global``, the condition of the block-diagonal H).
 
     Kbar's nullspace is removed by grounding one node of each floating
     component (see ``_grounded_pair``), which leaves an SPD pencil with the
     same eigenvalues; only its two extreme eigenvalues are needed, and they
     come from Lanczos iterations on sparse factors (``_extreme_eigenvalues``).
-    The worst element support ``chi.support_k_kbar.max()`` serves as the
-    shift of the top one where it certifies itself as a bound; when it does
-    not (the splitting bound is broken), regular-mode Lanczos on Kbar^-1 K
-    still finds the top eigenvalue and the report says so.  A nullspace
-    of K that Kbar does not share shows as a grounded K that will not factor
-    or a smallest eigenvalue below ``NULLSPACE_RTOL`` times the largest, and
-    raises InfiniteSupportError.  Both bounds allow ``ORDER_RTOL`` relative
-    slack.  Systems above ``size_limit`` raise SizeLimitError; a Lanczos run
-    that fails (ARPACK's non-convergence included) raises EigensolverError.
+    The worst element support of K over Kbar serves as the shift of the top
+    one where it certifies itself as a bound; when it does not (the splitting
+    bound is broken), regular-mode Lanczos on Kbar^-1 K still finds the top
+    eigenvalue and the report says so.  A nullspace of K that Kbar does not
+    share shows as a grounded K that will not factor or a smallest eigenvalue
+    below ``NULLSPACE_RTOL`` times the largest, and raises
+    InfiniteSupportError, as does an H block without a positive sigma_min.
+    Both bounds allow ``ORDER_RTOL`` relative slack.  A Lanczos run that fails
+    (ARPACK's non-convergence included) raises EigensolverError.
     """
-    n = stiffness.shape[0]
-    if n > size_limit:
-        raise SizeLimitError(
-            f"global support verification limited to n <= {size_limit}, got n = {n}"
-        )
-    max_ab = float(chi.support_k_kbar.max())
-    max_ba = float(chi.support_kbar_k.max())
+    # Squaring and inverting are monotone: these are the per-element maxima.
+    top, bottom = float(h_blocks.sigma_max.max()), float(h_blocks.sigma_min.min())
+    if not bottom * bottom > 0.0:
+        raise InfiniteSupportError(None)
+    max_ab, max_ba = top * top, 1.0 / (bottom * bottom)
     lam_min, lam_max = _extreme_eigenvalues(*_grounded_pair(stiffness, kbar),
                                             max_ab)
     if not lam_min > NULLSPACE_RTOL * lam_max:
@@ -379,8 +341,7 @@ def global_support_check(stiffness, kbar, chi: ChiReport, kappa_h: float, *,
         kappa=kappa,
         max_element_sigma_k_kbar=max_ab,
         max_element_sigma_kbar_k=max_ba,
-        kappa_h=kappa_h,
         splitting_ok=(sigma_ab <= max_ab * (1.0 + ORDER_RTOL)
                       and sigma_ba <= max_ba * (1.0 + ORDER_RTOL)),
-        condition_bound_ok=kappa <= kappa_h * (1.0 + ORDER_RTOL),
+        condition_bound_ok=kappa <= h_blocks.kappa_global * (1.0 + ORDER_RTOL),
     )

@@ -96,10 +96,9 @@ def test_criterion_3_factorization_identity(acceptance_cases):
 def test_criterion_4_bound_chain(acceptance_cases):
     """chi1 <= chi2 <= chi3 element-wise, plus middle-factor singular bounds."""
     for label, system, bundle in acceptance_cases:
-        chi = bundle.chi
-        assert np.all(chi.chi1 <= chi.chi2 * (1 + 1e-8)), label
-        assert np.all(chi.chi2 <= chi.chi3 * (1 + 1e-8)), label
-        assert np.all(chi.chi2 <= chi3_element_bounds(bundle.quality)
+        chi2 = bundle.h_blocks.kappa_per_element   # chi1 = chi2 per element
+        assert np.all(chi2 <= bundle.chi.chi3 * (1 + 1e-8)), label
+        assert np.all(chi2 <= chi3_element_bounds(bundle.quality)
                       * (1 + 1e-8)), label
         sv = element_j_singular_values(system.factors)
         ab = bundle.quality.alpha * bundle.quality.beta
@@ -127,8 +126,8 @@ def test_criterion_6_global_support(acceptance_cases):
         if not 0 < system.stiffness.shape[0] <= 500:
             continue
         report = global_support_check(system.stiffness, system.kbar,
-                                      bundle.chi, bundle.h_blocks.kappa_global)
-        assert report.sigma_k_kbar <= (bundle.chi.support_k_kbar.max()
+                                      bundle.h_blocks)
+        assert report.sigma_k_kbar <= (bundle.h_blocks.sigma_max.max() ** 2
                                        * (1 + 1e-8)), label
         assert report.kappa <= (bundle.h_blocks.max_kappa_element
                                 * (1 + 1e-8)), label
@@ -150,13 +149,13 @@ def test_criterion_6_global_support_at_realistic_size():
         assert system.stiffness.shape[0] == n, label
         bundle = ddfem.approximate(system)
         report = global_support_check(system.stiffness, system.kbar,
-                                      bundle.chi, bundle.h_blocks.kappa_global,
-                                      size_limit=n)
+                                      bundle.h_blocks)
         assert report.splitting_ok, label
-        assert report.kappa <= report.kappa_h * (1 + 1e-8), label
-        assert report.kappa_h <= bundle.chi.chi3 * (1 + 1e-8), label
+        kappa_h = bundle.h_blocks.kappa_global
+        assert report.kappa <= kappa_h * (1 + 1e-8), label
+        assert kappa_h <= bundle.chi.chi3 * (1 + 1e-8), label
         sizes.append(f"n={n} kappa {report.kappa:.4g} <= kappa(H) "
-                     f"{report.kappa_h:.4g} <= chi3 {bundle.chi.chi3:.4g}")
+                     f"{kappa_h:.4g} <= chi3 {bundle.chi.chi3:.4g}")
     _report(6, "; ".join(sizes))
 
 
@@ -176,8 +175,8 @@ def test_criterion_7_linear_structural_facts():
         bundle = ddfem.approximate(ddfem.build_system(mesh))
         assert bundle.quality.kappa1 == pytest.approx(base.quality.kappa1,
                                                       rel=1e-10)
-        np.testing.assert_allclose(bundle.chi.chi1, base.chi.chi1, rtol=1e-10)
-        np.testing.assert_allclose(bundle.chi.chi2, base.chi.chi2, rtol=1e-10)
+        np.testing.assert_allclose(bundle.h_blocks.kappa_per_element,
+                                   base.h_blocks.kappa_per_element, rtol=1e-10)
         assert bundle.chi.chi3 == pytest.approx(base.chi.chi3, rel=1e-10)
     _report(7, "identity samples, kappa2 = 1 exactly, scale invariance 1e-3..1e3")
 
@@ -232,7 +231,7 @@ def test_criterion_10_shear_study():
             ddfem.gen_structured_square(4, p=1),
             lambda x, s=s: np.array([x[0] + s * x[1], x[1]]))
         bundle = ddfem.approximate(ddfem.build_system(mesh))
-        chi1.append(bundle.chi.max_chi1)
+        chi1.append(bundle.h_blocks.max_kappa_element)
         kappa1.append(bundle.quality.kappa1)
     assert all(a < b for a, b in zip(chi1, chi1[1:]))
     # growth consistent with the squared shape measure: chi1 never exceeds

@@ -1,4 +1,3 @@
-import io
 import json
 from dataclasses import replace
 
@@ -16,7 +15,6 @@ from ddfem.factorization import (
     _largest_norm,
     element_j_singular_values,
     local_incidence,
-    save_incidence,
     spectral_norm,
 )
 from ddfem.mesh import normalize_numbering
@@ -361,22 +359,3 @@ def test_d_diag_strictly_positive():
     system = ddfem.build_system(mesh)
     assert np.all(system.factors.d_diag > 0)
 
-
-def test_incidence_debug_dump(two_triangle_square):
-    inc = ddfem.build_incidence(two_triangle_square)
-    buf = io.StringIO()
-    save_incidence(inc, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 4
-    assert all(line.startswith("arc ") for line in lines)
-    first_root = two_triangle_square.elements[0][0] + 1
-    assert lines[0].split() == ["arc", str(first_root),
-                                str(two_triangle_square.elements[0][1] + 1)]
-
-
-def test_incidence_dump_marks_omitted_endpoints():
-    inc = ddfem.build_incidence(single_triangle(dirichlet=[0]))
-    buf = io.StringIO()
-    save_incidence(inc, buf)
-    for line in buf.getvalue().strip().splitlines():
-        assert line.split()[1] == "0"

@@ -55,7 +55,7 @@ def test_builders_match_averaging_int64_oracles(name):
     inc = system.incidence
     for got, triplets in (
             (system.stiffness, int64_stiffness_triplets(n, mesh.elements, want)),
-            (system.kbar, int64_star_triplets(inc.arcs, system.dbar.scalars, inc.l))):
+            (system.kbar, int64_star_triplets(inc.arcs, system.dbar, inc.l))):
         ref = coo_mirrored_csr(n, *triplets)
         for field in ("indptr", "indices", "data"):
             assert_bitwise(getattr(got, field), getattr(ref, field))

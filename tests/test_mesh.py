@@ -16,10 +16,9 @@ from ddfem.errors import (
     UnsupportedConfigError,
 )
 from ddfem.mesh import (
+    _edge_table,
     _read_arrays,
     _read_lines,
-    boundary_edges,
-    mesh_to_text,
     normalize_numbering,
     validate_mesh,
 )
@@ -130,8 +129,9 @@ def test_snap_projector_moves_boundary_midpoints(quarter_ring_mesh):
 
 
 def test_boundary_edges_square(two_triangle_square):
-    edges = boundary_edges(two_triangle_square)
-    assert len(edges) == 4   # the diagonal is interior
+    edges, _, on_boundary = _edge_table(two_triangle_square)
+    assert len(edges) == 5 and on_boundary.sum() == 4   # the diagonal is interior
+    assert sorted(map(tuple, edges[~on_boundary].tolist())) == [(0, 3)]
 
 
 def test_midpoint_dirichlet_inheritance_3d():
@@ -155,8 +155,9 @@ def test_midpoint_dirichlet_inheritance_3d():
 ])
 def test_roundtrip_identity(maker):
     mesh = maker()
-    text = mesh_to_text(mesh)
-    back = ddfem.load_mesh(text)
+    buf = io.StringIO()
+    ddfem.save_mesh(mesh, buf)
+    back = ddfem.load_mesh(buf.getvalue())
     np.testing.assert_array_equal(back.nodes, mesh.nodes)
     np.testing.assert_array_equal(back.elements, mesh.elements)
     np.testing.assert_array_equal(back.dirichlet, mesh.dirichlet)
@@ -250,9 +251,9 @@ def _edited(edits: dict) -> str:
     ({9: "theta elem 2 inf"}, 9, "theta value 'inf' is not finite"),
     ({9: "theta elem 2.5 4"}, 9, "invalid literal for int() with base 10: '2.5'"),
     ({5: "edge 1 2"}, 5, "unknown record 'edge'"),
-    ({4: "node 5 0 1 0"}, None, "node indices must be exactly 1..4"),
-    ({7: "elem 3 1 4 3"}, None, "element indices must be exactly 1..2"),
-    ({9: "theta elem 3 4"}, None, "theta lines must cover every element exactly once"),
+    ({4: "node 5 0 1 0"}, 4, "node indices must be exactly 1..4"),
+    ({7: "elem 3 1 4 3"}, 7, "element indices must be exactly 1..2"),
+    ({9: "theta elem 3 4"}, 9, "theta lines must cover every element exactly once"),
     # Two bad lines: the first in file order is reported, whatever its check.
     ({3: "node 2 1 0 7", 4: "node 3 0 1"}, 3, "dirichlet flag must be 0 or 1, got 7"),
     ({5: "node 4 1 1", 7: "elem 2 1 4 3.5"}, 5, "node line needs 5 fields, got 4"),
@@ -276,15 +277,22 @@ def test_reader_rejections(edits, line, fragment):
     ({5: "node 99999999999 1 1 0"}, "node indices must be exactly 1..4"),
     ({7: "elem 99999999999 1 4 3"}, "element indices must be exactly 1..2"),
     ({9: "theta elem 99999999999 4"}, "theta lines must cover every element exactly once"),
+    # Node references, checked in the file's numbering (node 1 is Dirichlet).
+    ({7: "elem 2 2 4 5"}, "element 2 references node 5, out of range 1..4"),
+    ({7: "elem 2 1 4 4"}, "element 2 repeats node 4"),
+    ({7: "elem 2 1 2 4"}, "line 4: node 3 is not referenced by any element"),
 ])
 def test_index_rejections_keep_message_line_and_exit_code(edits, message, tmp_path,
                                                           capsys):
     # Each record kind's indices get one bounds-then-bincount check; an index
-    # of 1e11 must neither pass nor size an array.
+    # of 1e11 must neither pass nor size an array.  The message names the
+    # edited line, the one holding the bad index.
     text = _edited(edits)
     path = tmp_path / "bad.mesh"
     path.write_text(text)
     assert main(["report", "--mesh", str(path)]) == 4
+    if not message.startswith("line "):
+        message = f"line {next(iter(edits))}: {message}"
     assert capsys.readouterr().err == f"i/o error: {message}\n"
 
     def load():
@@ -300,7 +308,9 @@ def _large_mesh_lines():
     mesh = ddfem.Mesh(d=2, p=1, nodes=mesh.nodes, elements=mesh.elements,
                       dirichlet=mesh.dirichlet,
                       theta_elem=np.linspace(1.0, 2.0, mesh.n_elements))
-    return mesh_to_text(mesh).splitlines()
+    buf = io.StringIO()
+    ddfem.save_mesh(mesh, buf)
+    return buf.getvalue().splitlines()
 
 
 @pytest.mark.parametrize("edits,line,fragment", [
@@ -362,8 +372,11 @@ def test_reader_accepts_layout_freedom():
 
 def _square_p2_with_theta() -> str:
     mesh = ddfem.gen_structured_square(1, p=2)
-    return mesh_to_text(ddfem.Mesh(d=2, p=2, nodes=mesh.nodes, elements=mesh.elements,
-                                   dirichlet=mesh.dirichlet, theta_elem=np.array([2.5, 4.0])))
+    buf = io.StringIO()
+    ddfem.save_mesh(ddfem.Mesh(d=2, p=2, nodes=mesh.nodes, elements=mesh.elements,
+                               dirichlet=mesh.dirichlet, theta_elem=np.array([2.5, 4.0])),
+                    buf)
+    return buf.getvalue()
 
 
 # Valid files the differential test mutates, and what it mutates them with:
@@ -552,8 +565,8 @@ def test_transform_mesh(two_triangle_square):
     np.testing.assert_array_equal(doubled.elements, two_triangle_square.elements)
 
 
-# sha256 of mesh_to_text for k=3, p=2, boundary Dirichlet: generated output
-# must stay byte-identical.
+# sha256 of the saved mesh text for k=3, p=2, boundary Dirichlet: generated
+# output must stay byte-identical.
 GEN_SHA256 = {
     "square": "feec131043dc9a514dd61a04d1cd53ec1faaa28b960f1c8f2869442c4bae9722",
     "cube": "96cffcfc8d8618315fad9254776e366dcc6cf6198850dc0c83b658a82fe99f7e",
@@ -563,8 +576,9 @@ GEN_SHA256 = {
 @pytest.mark.parametrize("kind", ["square", "cube"])
 def test_generator_output_pinned(kind):
     gen = ddfem.gen_structured_square if kind == "square" else ddfem.gen_structured_cube
-    text = mesh_to_text(gen(3, p=2))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GEN_SHA256[kind]
+    buf = io.StringIO()
+    ddfem.save_mesh(gen(3, p=2), buf)
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == GEN_SHA256[kind]
 
 
 def test_conductivity_expression_on_point_stacks():

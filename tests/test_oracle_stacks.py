@@ -92,7 +92,7 @@ def test_element_stacks_match_loops(case):
                                rtol=RTOL_ELEMENT)
     np.testing.assert_allclose(system.factors.beta, [o[2] for o in oracle],
                                rtol=RTOL_ELEMENT)
-    np.testing.assert_allclose(system.dbar.scalars, [o[4] for o in oracle],
+    np.testing.assert_allclose(system.dbar, [o[4] for o in oracle],
                                rtol=RTOL_ELEMENT)
 
 
@@ -103,8 +103,10 @@ def test_chi_chain_matches_dense_pencils(case):
     lap = star.T @ star
     chi1 = [dense_pencil_kappa(kt, scalar * lap) for kt, _, _, _, scalar in oracle]
     chi2 = [np.linalg.cond(h) for _, _, _, h, _ in oracle]
-    np.testing.assert_allclose(bundle.chi.chi1, chi1, rtol=RTOL_ELEMENT)
-    np.testing.assert_allclose(bundle.chi.chi2, chi2, rtol=RTOL_ELEMENT)
+    # chi1 = chi2 per element: both are the H block condition numbers.
+    kappa = bundle.h_blocks.kappa_per_element
+    np.testing.assert_allclose(kappa, chi1, rtol=RTOL_ELEMENT)
+    np.testing.assert_allclose(kappa, chi2, rtol=RTOL_ELEMENT)
 
 
 def test_element_supports_match_dense_pencils(case):
@@ -116,11 +118,10 @@ def test_element_supports_match_dense_pencils(case):
     lap = star.T @ star
     eig = np.array([restricted_pencil_eigenvalues(kt, scalar * lap)
                     for kt, _, _, _, scalar in oracle])
-    np.testing.assert_allclose(bundle.chi.support_k_kbar, eig[:, -1],
+    h = bundle.h_blocks
+    np.testing.assert_allclose(h.sigma_max ** 2, eig[:, -1], rtol=RTOL_ELEMENT)
+    np.testing.assert_allclose(1.0 / h.sigma_min ** 2, 1.0 / eig[:, 0],
                                rtol=RTOL_ELEMENT)
-    np.testing.assert_allclose(bundle.chi.support_kbar_k, 1.0 / eig[:, 0],
-                               rtol=RTOL_ELEMENT)
-    np.testing.assert_array_equal(bundle.chi.chi1, bundle.chi.chi2)
 
 
 def test_assembled_matrices_match_dict_scatter(case):

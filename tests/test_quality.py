@@ -95,6 +95,3 @@ def test_report_carries_rule_and_sample_scalars():
     assert qual.sigma_qp == pytest.approx(5.2577, abs=1e-3)
     assert qual.tau_qp == pytest.approx(0.8337, abs=1e-3)
     assert qual.M_q / qual.m_q == pytest.approx(1.0)
-    d = qual.to_dict()
-    assert set(d) == {"kappa1", "kappa2", "theta_hat", "sigma_qp", "tau_qp",
-                      "weight_ratio"}

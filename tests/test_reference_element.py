@@ -52,7 +52,7 @@ def test_delta_property(d, p):
     for mu in range(1, elem.l + 1):
         for nu in range(elem.l):
             want = 1.0 if nu == mu - 1 else 0.0
-            got = ddfem.eval_shape(elem, mu, elem.ref_nodes[nu])
+            got = shape_values(elem, elem.ref_nodes[nu])[mu - 1]
             assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -67,14 +67,14 @@ def test_partition_of_unity(d, p, weights):
 
 def test_shape_value_examples():
     lin = ddfem.make_reference(2, 1)
-    assert ddfem.eval_shape(lin, 1, (0.0, 0.0)) == pytest.approx(1.0)
+    assert shape_values(lin, (0.0, 0.0))[0] == pytest.approx(1.0)
     # derived from the interpolation system: first function is 1 - x - y
-    assert ddfem.eval_shape(lin, 1, (1 / 3, 1 / 3)) == pytest.approx(1 / 3, abs=1e-14)
+    assert shape_values(lin, (1 / 3, 1 / 3))[0] == pytest.approx(1 / 3, abs=1e-14)
 
     quad = ddfem.make_reference(2, 2)
     vertex_10 = int(np.flatnonzero(
         np.all(quad.ref_nodes == np.array([1.0, 0.0]), axis=1))[0]) + 1
-    assert ddfem.eval_shape(quad, vertex_10, (0.5, 0.0)) == pytest.approx(0.0, abs=1e-13)
+    assert shape_values(quad, (0.5, 0.0))[vertex_10 - 1] == pytest.approx(0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("d,p", CONFIGS)
@@ -89,10 +89,10 @@ def test_matches_textbook_formulas(d, p, weights):
 
 def test_gradient_examples():
     lin2 = ddfem.make_reference(2, 1)
-    np.testing.assert_allclose(ddfem.eval_shape_gradient(lin2, 2, (0.3, 0.2)), [1, 0])
-    np.testing.assert_allclose(ddfem.eval_shape_gradient(lin2, 1, (0.3, 0.2)), [-1, -1])
+    np.testing.assert_allclose(shape_gradients(lin2, (0.3, 0.2))[1], [1, 0])
+    np.testing.assert_allclose(shape_gradients(lin2, (0.3, 0.2))[0], [-1, -1])
     lin3 = ddfem.make_reference(3, 1)
-    np.testing.assert_allclose(ddfem.eval_shape_gradient(lin3, 1, (0.2, 0.2, 0.2)),
+    np.testing.assert_allclose(shape_gradients(lin3, (0.2, 0.2, 0.2))[0],
                                [-1, -1, -1])
 
 
@@ -111,14 +111,6 @@ def test_gradient_matches_central_difference(d, p):
                 zm = z.copy(); zm[axis] -= h
                 fd = (shape_values(elem, zp)[mu] - shape_values(elem, zm)[mu]) / (2 * h)
                 assert abs(grads[mu, axis] - fd) <= 1e-6
-
-
-def test_node_index_out_of_range():
-    elem = ddfem.make_reference(2, 1)
-    with pytest.raises(IndexError):
-        ddfem.eval_shape(elem, 0, (0.1, 0.1))
-    with pytest.raises(IndexError):
-        ddfem.eval_shape_gradient(elem, 4, (0.1, 0.1))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -154,7 +146,7 @@ def test_sqp_block_columns_are_gradients():
         for mu in range(2, elem.l + 1):
             np.testing.assert_allclose(
                 sqp.entries[k * 2:(k + 1) * 2, mu - 2],
-                ddfem.eval_shape_gradient(elem, mu, rule.points[k]))
+                shape_gradients(elem, rule.points[k])[mu - 1])
 
 
 def test_sqp_rejects_underpowered_rule():

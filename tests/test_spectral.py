@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ddfem
 from ddfem.assembly import mirrored_csr
-from ddfem.errors import ConsistencyError, InfiniteSupportError, SizeLimitError
+from ddfem.errors import ConsistencyError, InfiniteSupportError
 from ddfem.factorization import local_incidence
 from ddfem import spectral
 from ddfem.spectral import (LANCZOS_MIN_N, ORDER_RTOL, chi_report,
@@ -21,9 +21,10 @@ from oracles import (dense_global_support, random_psd_pair,
 
 def test_support_trivial_cases():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert ddfem.support_number(a, a) == pytest.approx(1.0)
-    assert ddfem.support_number(2 * a, a) == pytest.approx(2.0)
-    assert ddfem.support_number(np.diag([1.0, 3.0]), np.eye(2)) == pytest.approx(3.0)
+    assert ddfem.condition_pair(a, a).support_ab == pytest.approx(1.0)
+    assert ddfem.condition_pair(2 * a, a).support_ab == pytest.approx(2.0)
+    assert (ddfem.condition_pair(np.diag([1.0, 3.0]), np.eye(2)).support_ab
+            == pytest.approx(3.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -31,8 +32,8 @@ def test_support_trivial_cases():
 def test_support_scales_linearly(seed, c):
     rng = np.random.default_rng(seed)
     a, b = random_psd_pair(rng, 8, 5)
-    assert (ddfem.support_number(c * a, b)
-            == pytest.approx(c * ddfem.support_number(a, b), rel=1e-9))
+    assert (ddfem.condition_pair(c * a, b).support_ab
+            == pytest.approx(c * ddfem.condition_pair(a, b).support_ab, rel=1e-9))
 
 
 @settings(max_examples=40, deadline=None)
@@ -48,8 +49,8 @@ def test_quadratic_form_sandwich_bounds(seed):
     lam = np.linalg.eigvalsh(h)
     vhv = v @ h @ v.T
     vv = v @ v.T
-    assert ddfem.support_number(vhv, vv) <= lam[-1] * (1 + 1e-9)
-    assert ddfem.support_number(vv, vhv) <= 1.0 / lam[0] * (1 + 1e-9)
+    assert ddfem.condition_pair(vhv, vv).support_ab <= lam[-1] * (1 + 1e-9)
+    assert ddfem.condition_pair(vv, vhv).support_ab <= 1.0 / lam[0] * (1 + 1e-9)
     pencil = ddfem.condition_pair(vhv, vv)
     assert pencil.kappa <= lam[-1] / lam[0] * (1 + 1e-9)
 
@@ -76,7 +77,7 @@ def test_identity_triangle_pair_is_perfect(unit_triangle_mesh):
     system = ddfem.build_system(unit_triangle_mesh)
     star = local_incidence(3)
     pencil = ddfem.condition_pair(system.element_stiffness[0],
-                                  system.dbar.scalars[0] * (star.T @ star))
+                                  system.dbar[0] * (star.T @ star))
     assert pencil.kappa == pytest.approx(1.0, abs=1e-12)
 
 
@@ -109,7 +110,7 @@ def test_infinite_support_detected():
     a = np.diag([1.0, 1.0])
     b = np.diag([1.0, 0.0])
     with pytest.raises(InfiniteSupportError) as exc:
-        ddfem.support_number(a, b)
+        ddfem.condition_pair(a, b)
     direction = exc.value.direction
     assert abs(direction[1]) > 0.9
 
@@ -125,13 +126,11 @@ def test_chi_report_on_mesh():
     mesh = ddfem.gen_structured_square(3, p=1)
     system = ddfem.build_system(mesh)
     bundle = ddfem.approximate(system)
-    chi = bundle.chi
-    assert np.all(chi.chi1 <= chi.chi2 * (1 + 1e-8))
-    assert np.all(chi.chi2 <= chi.chi3_element * (1 + 1e-8))
-    assert chi.max_chi1 <= chi.max_chi2 * (1 + 1e-8)
+    chi2 = bundle.h_blocks.kappa_per_element   # chi1 = chi2 per element
+    assert np.all(chi2 <= bundle.chi.chi3_element * (1 + 1e-8))
     # linear elements under the one-point rule: the approximation is spot on
-    np.testing.assert_allclose(chi.chi2, (bundle.quality.alpha
-                                          * bundle.quality.beta) ** 2, rtol=1e-10)
+    np.testing.assert_allclose(chi2, (bundle.quality.alpha
+                                      * bundle.quality.beta) ** 2, rtol=1e-10)
 
 
 def test_chi_report_rejects_inconsistent_inputs(unit_triangle_mesh):
@@ -184,37 +183,42 @@ def test_global_support_check_small_meshes():
         system = ddfem.build_system(mesh)
         bundle = ddfem.approximate(system)
         report = global_support_check(system.stiffness, system.kbar,
-                                      bundle.chi, bundle.h_blocks.kappa_global)
+                                      bundle.h_blocks)
         assert report.passed
         assert report.sigma_k_kbar <= report.max_element_sigma_k_kbar * (1 + 1e-8)
         assert report.sigma_kbar_k <= report.max_element_sigma_kbar_k * (1 + 1e-8)
-        assert report.kappa <= report.kappa_h * (1 + 1e-8)
+        assert report.kappa <= bundle.h_blocks.kappa_global * (1 + 1e-8)
 
 
 def test_single_element_global_equals_element(unit_triangle_mesh):
     system = ddfem.build_system(unit_triangle_mesh)
     bundle = ddfem.approximate(system)
-    report = global_support_check(system.stiffness, system.kbar, bundle.chi,
-                                  bundle.h_blocks.kappa_global)
+    report = global_support_check(system.stiffness, system.kbar, bundle.h_blocks)
     assert report.sigma_k_kbar == pytest.approx(
-        float(bundle.chi.support_k_kbar[0]), rel=1e-10)
+        float(bundle.h_blocks.sigma_max[0]) ** 2, rel=1e-10)
 
 
 def test_two_element_global_below_element_max(two_triangle_square):
     system = ddfem.build_system(two_triangle_square)
     bundle = ddfem.approximate(system)
-    report = global_support_check(system.stiffness, system.kbar, bundle.chi,
-                                  bundle.h_blocks.kappa_global)
-    assert report.sigma_k_kbar <= float(bundle.chi.support_k_kbar.max()) * (1 + 1e-8)
+    report = global_support_check(system.stiffness, system.kbar, bundle.h_blocks)
+    assert report.sigma_k_kbar <= (float(bundle.h_blocks.sigma_max.max()) ** 2
+                                   * (1 + 1e-8))
 
 
-def test_size_limit_guard():
-    mesh = ddfem.gen_structured_square(4, p=1)
-    system = ddfem.build_system(mesh)
-    bundle = ddfem.approximate(system)
-    with pytest.raises(SizeLimitError):
-        global_support_check(system.stiffness, system.kbar, bundle.chi,
-                             bundle.h_blocks.kappa_global, size_limit=3)
+def test_size_limit_guard(monkeypatch):
+    # verify_system's dense_limit is the one size gate of the global check,
+    # which itself takes any size.  Square k=4 p=1 has n = 9.
+    calls = []
+    check = spectral.global_support_check
+    monkeypatch.setattr(spectral, "global_support_check",
+                        lambda *args: calls.append(args) or check(*args))
+    system = ddfem.build_system(ddfem.gen_structured_square(4, p=1))
+    for limit, runs in ((8, False), (9, True)):
+        calls.clear()
+        checks = ddfem.verify_system(system, dense_limit=limit).checks
+        assert ("global-condition-bound" in [c.name for c in checks]) == runs
+        assert len(calls) == runs
 
 
 def _two_floating_squares():
@@ -272,8 +276,7 @@ def test_global_support_check_matches_dense_oracle(case, request):
     mesh, theta = ORACLE_CASES[case](request)
     system = ddfem.build_system(mesh, theta)
     bundle = ddfem.approximate(system)
-    report = global_support_check(system.stiffness, system.kbar, bundle.chi,
-                                  bundle.h_blocks.kappa_global)
+    report = global_support_check(system.stiffness, system.kbar, bundle.h_blocks)
     expect = dense_global_support(system.stiffness, system.kbar)
     np.testing.assert_allclose(
         [report.sigma_k_kbar, report.sigma_kbar_k, report.kappa], expect,
@@ -292,9 +295,9 @@ def _eigsh_shifts(monkeypatch, mesh):
     monkeypatch.setattr(spectral.spla, "eigsh", spy)
     system = ddfem.build_system(mesh)
     bundle = ddfem.approximate(system)
-    global_support_check(system.stiffness, system.kbar, bundle.chi,
-                         bundle.h_blocks.kappa_global)
-    return shifts, float(bundle.chi.support_k_kbar.max()) * (1.0 + ORDER_RTOL)
+    global_support_check(system.stiffness, system.kbar, bundle.h_blocks)
+    top = float(bundle.h_blocks.sigma_max.max())
+    return shifts, top * top * (1.0 + ORDER_RTOL)
 
 
 def test_top_eigenvalue_shift_only_without_leaf_elimination(monkeypatch):
@@ -315,10 +318,9 @@ def test_broken_splitting_bound_falls_back_to_regular_lanczos():
     # out exact, and the check reports the broken bound.
     system = ddfem.build_system(_jittered_sheared_square())
     bundle = ddfem.approximate(system)
-    chi = dataclasses.replace(bundle.chi,
-                              support_k_kbar=0.5 * bundle.chi.support_k_kbar)
-    report = global_support_check(system.stiffness, system.kbar, chi,
-                                  bundle.h_blocks.kappa_global)
+    h = bundle.h_blocks
+    halved = dataclasses.replace(h, sigma_max=h.sigma_max * 0.5 ** 0.5)
+    report = global_support_check(system.stiffness, system.kbar, halved)
     expect = dense_global_support(system.stiffness, system.kbar)
     np.testing.assert_allclose(
         [report.sigma_k_kbar, report.sigma_kbar_k, report.kappa], expect,
@@ -342,7 +344,7 @@ def test_global_check_rejects_k_off_kbar_nullspace(k):
     bumped = _symmetric(system.stiffness
                         + sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n)))
     with pytest.raises(InfiniteSupportError) as exc:
-        global_support_check(bumped, system.kbar, bundle.chi, 1.0)
+        global_support_check(bumped, system.kbar, bundle.h_blocks)
     np.testing.assert_allclose(exc.value.direction, np.full(n, n ** -0.5))
 
 
@@ -362,4 +364,4 @@ def test_global_check_rejects_extra_k_nullspace(k, how):
     with pytest.raises(InfiniteSupportError):
         dense_global_support(_symmetric(singular), system.kbar)
     with pytest.raises(InfiniteSupportError):
-        global_support_check(_symmetric(singular), system.kbar, bundle.chi, 1.0)
+        global_support_check(_symmetric(singular), system.kbar, bundle.h_blocks)
