@@ -42,7 +42,7 @@ def main():
         worst = bundle.h_blocks.max_kappa_element   # chi1 = chi2 per element
         print(f"{label:<16} {mesh.n_elements:>5} {system.stiffness.shape[0]:>5} "
               f"{q.kappa1:>8.3g} {q.kappa2:>7.3g} {worst:>10.6g} "
-              f"{worst:>10.6g} {bundle.chi.chi3:>10.6g}")
+              f"{worst:>10.6g} {bundle.quality.chi3:>10.6g}")
 
 
 if __name__ == "__main__":

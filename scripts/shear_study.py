@@ -29,7 +29,7 @@ def main():
         bundle = ddfem.approximate(ddfem.build_system(mesh))
         worst = bundle.h_blocks.max_kappa_element   # chi1 = chi2 per element
         print(f"{s:>6.3g} {bundle.quality.kappa1:>10.4g} "
-              f"{worst:>12.6g} {worst:>12.6g} {bundle.chi.chi3:>12.6g}")
+              f"{worst:>12.6g} {worst:>12.6g} {bundle.quality.chi3:>12.6g}")
 
 
 if __name__ == "__main__":

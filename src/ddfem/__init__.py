@@ -14,7 +14,6 @@ from .dd_approx import (
     build_dbar,
     build_h_blocks,
     build_kbar,
-    chi3_bound,
 )
 from .factorization import (
     IncidenceMatrix,
@@ -77,7 +76,6 @@ __all__ = [
     "build_sqp",
     "build_system",
     "cg_iteration_bound",
-    "chi3_bound",
     "chi_report",
     "compute_quality",
     "condition_pair",

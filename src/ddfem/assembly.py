@@ -334,7 +334,8 @@ def _value_at(fn, x) -> float:
 def assemble_load(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
                   theta: ConductivityField, source,
                   dirichlet_values=None,
-                  geometries: ElementGeometry | None = None) -> np.ndarray:
+                  geometries: ElementGeometry | None = None,
+                  tables=None) -> np.ndarray:
     """Load vector for the reduced system.
 
     ``source`` is a constant or a callable of the physical point; a callable
@@ -343,9 +344,11 @@ def assemble_load(mesh: Mesh, ref: ReferenceElement, rule: QuadratureRule,
     Dirichlet data may be a constant, a callable, or an array over the
     constrained nodes; its coupling through the element stiffness matrices
     is subtracted here.  Only the natural (zero flux) boundary condition is
-    supported on the remaining boundary.
+    supported on the remaining boundary.  ``geometries`` and ``tables`` are
+    computed here when not given.
     """
-    tables = reference_tables(ref, rule)
+    if tables is None:
+        tables = reference_tables(ref, rule)
     vals = tables[0]
     n = mesh.n_free
     n_con = mesh.n_nodes - n

@@ -246,6 +246,13 @@ def _resolve_rule(cfg, mesh):
     return parse_rule_records(fields, mesh.d, name=name, lines=lines)
 
 
+def _system(cfg, mesh=None):
+    """The assembled system of the configured (or given) mesh, theta and rule."""
+    mesh = _resolve_mesh(cfg) if mesh is None else mesh
+    return pipeline.build_system(mesh, _resolve_theta(cfg, mesh),
+                                 _resolve_rule(cfg, mesh))
+
+
 def _resolve_source(cfg):
     raw = cfg.get("source")
     if raw is None:
@@ -265,10 +272,10 @@ def _report_dict(system, bundle) -> dict:
         "kappa2": qual.kappa2,
         "chi1": bundle.h_blocks.max_kappa_element,   # chi1 = chi2 per element
         "chi2": bundle.h_blocks.max_kappa_element,
-        "chi3": bundle.chi.chi3,
-        "sigma_qp": qual.sigma_qp,
-        "tau_qp": qual.tau_qp,
-        "weight_ratio": qual.M_q / qual.m_q,
+        "chi3": qual.chi3,
+        "sigma_qp": system.sqp.sigma_qp,
+        "tau_qp": system.sqp.tau_qp,
+        "weight_ratio": system.rule.M_q / system.rule.m_q,
     }
 
 
@@ -302,25 +309,17 @@ def _cmd_gen(cfg) -> int:
 
 
 def _cmd_assemble(cfg) -> int:
-    mesh = _resolve_mesh(cfg)
-    system = pipeline.build_system(mesh, _resolve_theta(cfg, mesh),
-                                   _resolve_rule(cfg, mesh))
-    save_matrix_text(system.stiffness, cfg["out"])
+    save_matrix_text(_system(cfg).stiffness, cfg["out"])
     return EXIT_OK
 
 
 def _cmd_approx(cfg) -> int:
-    mesh = _resolve_mesh(cfg)
-    system = pipeline.build_system(mesh, _resolve_theta(cfg, mesh),
-                                   _resolve_rule(cfg, mesh))
-    save_matrix_text(system.kbar, cfg["out"])
+    save_matrix_text(_system(cfg).kbar, cfg["out"])
     return EXIT_OK
 
 
 def _cmd_report(cfg) -> int:
-    mesh = _resolve_mesh(cfg)
-    system = pipeline.build_system(mesh, _resolve_theta(cfg, mesh),
-                                   _resolve_rule(cfg, mesh))
+    system = _system(cfg)
     bundle = pipeline.approximate(system)
     data = _report_dict(system, bundle)
     if cfg.get("format") == "json":
@@ -332,9 +331,7 @@ def _cmd_report(cfg) -> int:
 
 
 def _cmd_verify(cfg) -> int:
-    mesh = _resolve_mesh(cfg)
-    system = pipeline.build_system(mesh, _resolve_theta(cfg, mesh),
-                                   _resolve_rule(cfg, mesh))
+    system = _system(cfg)
     limit = _intval(cfg, "dense_limit", least=0)
     options = {} if limit is None else {"dense_limit": limit}
     summary = pipeline.verify_system(system, **options)
@@ -355,13 +352,12 @@ def _solve_operands(cfg):
     if mesh.n_free == mesh.n_nodes:
         raise SingularSystemError(
             "no Dirichlet nodes: the reduced system is singular")
-    theta = _resolve_theta(cfg, mesh)
-    rule = _resolve_rule(cfg, mesh)
-    system = pipeline.build_system(mesh, theta, rule)
+    system = _system(cfg, mesh)
     stiffness = system.stiffness
     kbar = system.kbar
-    rhs = assemble_load(mesh, system.ref, rule, theta, _resolve_source(cfg),
-                        geometries=system.geometries)
+    rhs = assemble_load(mesh, system.ref, system.rule, system.theta,
+                        _resolve_source(cfg), geometries=system.geometries,
+                        tables=system.tables)
     return stiffness, kbar, rhs
 
 

@@ -5,8 +5,8 @@ Replacing each element's middle product j^T diag(d) j by the scalar block
 assembled matrix into a weighted graph Laplacian on the element star arcs,
 restricted by Dirichlet deletion.  The leftover middle matrix H measures the
 loss: its condition number bounds the generalized condition number of the
-pair, and is itself bounded by the purely mesh/rule-dependent quantity
-chi3 = theta_hat * kappa1^2 * kappa2 * (M_q sigma^2) / (m_q tau^2).
+pair, and is itself bounded by the purely mesh/rule-dependent quantity chi3
+of ``quality.compute_quality``.
 
 The spectral extremes of every H block come from one batched ``eigvalsh``
 of the Gram stack H itself, which the refactorization check reads as well;
@@ -27,7 +27,6 @@ import scipy.sparse as sp
 from .assembly import ElementGeometry, index_dtype, mirrored_csr
 from .factorization import ElementFactors, IncidenceMatrix, relative_residuals
 from .quadrature import QuadratureRule
-from .quality import QualityReport
 
 
 # A Gram block whose eigenvalue ratio exceeds this (or whose smallest
@@ -146,23 +145,8 @@ def build_h_blocks(factors: ElementFactors, dbar: np.ndarray) -> HBlocks:
                    kappa_per_element=kappa_elem, kappa_global=kappa_global)
 
 
-def chi3_bound(quality: QualityReport) -> float:
-    """Analytic mesh-level bound on the condition number of the middle matrix."""
-    return (quality.theta_hat * quality.kappa1 ** 2 * quality.kappa2
-            * quality.M_q * quality.sigma_qp ** 2
-            / (quality.m_q * quality.tau_qp ** 2))
-
-
-def chi3_element_bounds(quality: QualityReport) -> np.ndarray:
-    """Element-local version of the analytic bound (local spreads and shape)."""
-    return (quality.theta_ratio * (quality.alpha * quality.beta) ** 2
-            * quality.det_ratio * quality.M_q * quality.sigma_qp ** 2
-            / (quality.m_q * quality.tau_qp ** 2))
-
-
 def refactorization_residuals(factors: ElementFactors,
                               dbar: np.ndarray, h_blocks: HBlocks) -> np.ndarray:
     """Relative error of middle-product = scalar * H per element (identity check)."""
-    return relative_residuals(dbar[:, None, None] * h_blocks.h,
-                              factors.gram())
+    return relative_residuals(dbar[:, None, None] * h_blocks.h, factors.gram)
 

@@ -62,10 +62,15 @@ class ElementOrientationError(MethodAssumptionError):
 class QuadratureWeightError(MethodAssumptionError):
     """A quadrature rule carries a nonpositive weight."""
 
-    def __init__(self, index: int, weight: float):
+    def __init__(self, index: int, weight: float, where: str = ""):
         self.index = index
         self.weight = weight
-        super().__init__(f"quadrature weight {index + 1} is {weight:g}, must be positive")
+        super().__init__(
+            f"{where}quadrature weight {index + 1} is {weight:g}, must be positive")
+
+
+class QuadratureVolumeError(MethodAssumptionError):
+    """A quadrature rule's weights do not sum to the reference simplex volume."""
 
 
 class GradientSampleRankError(MethodAssumptionError):

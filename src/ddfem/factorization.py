@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import ElementGeometry
 from .mesh import Mesh
@@ -65,11 +64,12 @@ class ElementFactors:
 
     ``j`` stacks each element's (d*q) x (l-1) product of the scaled
     inverse-transpose Jacobian blocks with the shared gradient sample matrix;
-    ``d_diag`` the positive diagonal weights.  The alpha scaling cancels
-    between the two, so j^T diag(d_diag) j reproduces the element stiffness on
-    arc differences.  alpha is the worst inverse-Jacobian 2-norm over the
-    Gauss points (maximum compression), beta the worst Jacobian 2-norm
-    (maximum stretch).  Both are largest singular values, accurate to roundoff
+    ``d_diag`` the positive diagonal weights.  The alpha scaling
+    (``AssembledSystem.alpha``) cancels between the two, so
+    j^T diag(d_diag) j reproduces the element stiffness on arc differences.
+    alpha is the worst inverse-Jacobian 2-norm over the Gauss points (maximum
+    compression), beta the worst Jacobian 2-norm (maximum stretch).  Both
+    are largest singular values, accurate to roundoff
     relative to themselves at any scale of the mesh (see ``_largest_norm``):
     in 2D the closed form (hypot(a + e, b - c) + hypot(a - e, b + c)) / 2 of
     a block [[a, b], [c, e]], in 3D the square root of the largest eigenvalue
@@ -79,13 +79,16 @@ class ElementFactors:
     condition number.
     """
 
-    alpha: np.ndarray       # (m,)
     beta: np.ndarray        # (m,)
     d_diag: np.ndarray      # (m, q*d)
     j: np.ndarray           # (m, q*d, l-1)
 
+    @cached_property
     def gram(self) -> np.ndarray:
-        """j^T diag(d_diag) j per element, the (m, l-1, l-1) middle products."""
+        """j^T diag(d_diag) j per element, the (m, l-1, l-1) middle products.
+
+        Built on first read and kept: both identity checks compare with it.
+        """
         return self.j.swapaxes(1, 2) @ (self.d_diag[:, :, None] * self.j)
 
 
@@ -251,8 +254,7 @@ def build_all_factors(geometries: ElementGeometry, alpha: np.ndarray,
     r_blocks = geometries.inverse_transposes / alpha[:, None, None, None]
     samples = sqp.entries.reshape(q, d, -1)                  # (q, d, l-1)
     j = (r_blocks @ samples).reshape(m, q * d, -1)
-    return ElementFactors(alpha=alpha, beta=beta,
-                          d_diag=np.repeat(weights, d, axis=1), j=j)
+    return ElementFactors(beta=beta, d_diag=np.repeat(weights, d, axis=1), j=j)
 
 
 # Largest relative residual a stiffness identity may show and still pass:
@@ -273,10 +275,20 @@ class FactorizationReport:
                 and self.global_residual <= IDENTITY_TOL)
 
 
+def _exponent(values: np.ndarray, axis=None) -> np.ndarray:
+    """Binary exponent of the largest |value| (over ``axis``), 0 where none."""
+    return np.frexp(np.abs(values).max(axis=axis, initial=0.0))[1]
+
+
 def relative_residuals(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
-    """Frobenius ||approx - exact|| / ||exact|| per block (0 where exact is 0)."""
-    norm = np.linalg.norm(exact, axis=(1, 2))
-    diff = np.linalg.norm(approx - exact, axis=(1, 2))
+    """Frobenius ||approx - exact|| / ||exact|| per block (0 where exact is 0).
+
+    Both norms are of the blocks times 2**-e, e the exponent of the exact
+    block's largest entry: exact, and no square overflows or underflows.
+    """
+    e = _exponent(exact, axis=(1, 2))[:, None, None]
+    norm = np.linalg.norm(np.ldexp(exact, -e), axis=(1, 2))
+    diff = np.linalg.norm(np.ldexp(approx - exact, -e), axis=(1, 2))
     return np.divide(diff, norm, out=np.zeros_like(norm), where=norm > 0)
 
 
@@ -292,7 +304,7 @@ def verify_first_factorization(mesh: Mesh, factors: ElementFactors,
     """
     m = mesh.n_elements
     local_a = local_incidence(incidence.l)
-    residuals = relative_residuals(local_a.T @ factors.gram() @ local_a, element_k)
+    residuals = relative_residuals(local_a.T @ factors.gram @ local_a, element_k)
 
     global_residual = 0.0
     if incidence.n > 0:
@@ -304,9 +316,14 @@ def verify_first_factorization(mesh: Mesh, factors: ElementFactors,
                              shape=(m * qd, m * lm1))
         ja = jmat @ incidence.matrix
         product = (ja.T @ sp.diags(factors.d_diag.ravel()) @ ja).tocsr()
-        diff = product - global_stiffness
-        denom = spla.norm(global_stiffness)
-        global_residual = float(spla.norm(diff) / denom) if denom > 0 else 0.0
+        # Frobenius norms scaled as in relative_residuals, each summed over
+        # the canonical CSR values as scipy.sparse.linalg.norm sums them.
+        e = _exponent(global_stiffness.data)
+        norms = []
+        for mat in (product - global_stiffness, global_stiffness):
+            mat.sum_duplicates()
+            norms.append(float(np.linalg.norm(np.ldexp(mat.data, -e))))
+        global_residual = norms[0] / norms[1] if norms[1] > 0 else 0.0
 
     return FactorizationReport(
         max_element_residual=float(residuals.max()) if m else 0.0,

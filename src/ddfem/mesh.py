@@ -3,8 +3,8 @@
 Internal numbering is 0-based; the text format is 1-based.  The data model
 keeps every node with no essential (Dirichlet) boundary condition ahead of the
 constrained ones, so the reduced stiffness system is simply the leading block.
-Loading and generation both normalize to that ordering and record the applied
-permutation.
+A ``Mesh`` checks its structure and puts itself in that ordering when it is
+built, recording the permutation applied.
 """
 
 from __future__ import annotations
@@ -46,7 +46,13 @@ class Mesh:
     theta_elem : optional ndarray, shape (m,)
         Per-element conductivity values carried by the mesh file, if any.
     permutation : optional ndarray of int, shape (n',)
-        Maps pre-normalization node index to the stored index, identity if None.
+        Maps the node index given to the constructor to the stored index,
+        identity if None.
+
+    Construction checks the structure in linear time (MeshInvariantError):
+    shapes and dtypes, node references in range and not repeated, every node
+    referenced, ``theta_elem`` of length m.  It then puts the non-Dirichlet
+    nodes first, stably, and records the permutation (composed with any given).
     """
 
     d: int
@@ -56,6 +62,35 @@ class Mesh:
     dirichlet: np.ndarray
     theta_elem: np.ndarray | None = None
     permutation: np.ndarray | None = None
+
+    def __post_init__(self):
+        n, d, elements = len(self.dirichlet), self.d, self.elements
+        l = node_count(d, self.p) if d in (2, 3) and self.p in (1, 2) else None
+        if not (l and self.nodes.shape == (n, d) and self.dirichlet.shape == (n,)
+                and self.dirichlet.dtype == bool and elements.ndim == 2
+                and elements.shape[1] == l and np.issubdtype(elements.dtype, np.integer)):
+            raise MeshInvariantError(
+                f"a d={d} p={self.p} mesh needs nodes (n, {d}), boolean dirichlet "
+                f"(n,) and integer elements (m, {l}), got {self.nodes.shape}, "
+                f"{self.dirichlet.dtype} {self.dirichlet.shape} and "
+                f"{elements.dtype} {elements.shape}")
+        problem = _reference_problem(elements, n)
+        if problem:
+            kind, i, what = problem
+            raise MeshInvariantError(f"{kind} {i + 1} {what}")
+        if self.theta_elem is not None and len(self.theta_elem) != len(elements):
+            raise MeshInvariantError("per-element conductivity length does not match m")
+        free = ~self.dirichlet
+        if np.all(free[: int(free.sum())]):
+            return
+        order = np.concatenate([np.flatnonzero(free), np.flatnonzero(~free)])
+        perm = np.empty_like(order)
+        perm[order] = np.arange(len(order))
+        if self.permutation is not None:
+            perm = perm[self.permutation]
+        # Frozen: the reordered fields are set directly.
+        self.__dict__.update(nodes=self.nodes[order], elements=perm[elements],
+                             dirichlet=self.dirichlet[order], permutation=perm)
 
     @property
     def n_nodes(self) -> int:
@@ -72,30 +107,6 @@ class Mesh:
     @property
     def nodes_per_element(self) -> int:
         return self.elements.shape[1]
-
-
-def validate_mesh(mesh: Mesh) -> None:
-    """Raise MeshInvariantError if the mesh breaks a structural invariant."""
-    n = mesh.n_nodes
-    expected_l = node_count(mesh.d, mesh.p)
-    if mesh.nodes_per_element != expected_l:
-        raise MeshInvariantError(
-            f"elements carry {mesh.nodes_per_element} nodes, expected {expected_l} "
-            f"for d={mesh.d}, p={mesh.p}"
-        )
-    if mesh.nodes.shape[1] != mesh.d:
-        raise MeshInvariantError(
-            f"node coordinates have {mesh.nodes.shape[1]} components, expected {mesh.d}"
-        )
-    problem = _reference_problem(mesh.elements, n)
-    if problem:
-        kind, i, what = problem
-        raise MeshInvariantError(f"{kind} {i + 1} {what}")
-    free = ~mesh.dirichlet
-    if free.size and not np.all(free[: mesh.n_free]):
-        raise MeshInvariantError("non-Dirichlet nodes must precede Dirichlet nodes")
-    if mesh.theta_elem is not None and len(mesh.theta_elem) != mesh.n_elements:
-        raise MeshInvariantError("per-element conductivity length does not match m")
 
 
 def _reference_problem(elements: np.ndarray, n: int):
@@ -119,27 +130,6 @@ def _reference_problem(elements: np.ndarray, n: int):
     if not referenced.all():
         return "node", int(np.argmax(~referenced)), "is not referenced by any element"
     return None
-
-
-def normalize_numbering(mesh: Mesh) -> Mesh:
-    """Reorder nodes so all non-Dirichlet nodes come first (stable).
-
-    Returns the mesh unchanged if already ordered; otherwise the permutation
-    applied (old index -> new index) is recorded on the result.
-    """
-    free = ~mesh.dirichlet
-    if np.all(free[: int(free.sum())]):
-        return mesh
-    order = np.concatenate([np.flatnonzero(free), np.flatnonzero(~free)])
-    perm = np.empty_like(order)
-    perm[order] = np.arange(len(order))
-    return replace(
-        mesh,
-        nodes=mesh.nodes[order],
-        elements=perm[mesh.elements],
-        dirichlet=mesh.dirichlet[order],
-        permutation=perm,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +331,9 @@ def load_mesh(source) -> Mesh:
     """Parse a mesh from a path, text, bytes, or file-like object.
 
     Every rejection names the first bad line in file order, or for a bad
-    node reference (MeshInvariantError) the record's line.  Node numbering
-    is normalized (Dirichlet last) after parsing; the applied permutation,
-    if any, is recorded on the mesh.
+    node reference (MeshInvariantError) the record's line: references are
+    checked in file order and numbering before the ``Mesh`` is built, which
+    then puts the Dirichlet nodes last and records the permutation.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         with open(source, "r", encoding="utf-8") as fh:
@@ -379,7 +369,7 @@ def load_mesh(source) -> Mesh:
     if n_nodes == 0:
         raise MeshFormatError("mesh has no nodes", line=1)
     if len(elem_idx) == 0:
-        raise MeshFormatError("mesh has no elements")
+        raise MeshFormatError("mesh has no elements", line=1)
     theta = _from_one_to(theta_idx, theta_values) if len(theta_idx) else None
 
     # In file order and numbering: renumbering would wrap a negative number.
@@ -389,10 +379,9 @@ def load_mesh(source) -> Mesh:
         index = elem_idx[i] if kind == "element" else i + 1
         raise MeshInvariantError(f"{kind} {index} {what}", line=_record_line(
             lines, "elem" if kind == "element" else "node", index))
-    mesh = Mesh(d=d, p=p, nodes=_from_one_to(node_idx, coords),
+    return Mesh(d=d, p=p, nodes=_from_one_to(node_idx, coords),
                 elements=_from_one_to(elem_idx, elem_nodes) - 1,
                 dirichlet=_from_one_to(node_idx, flags), theta_elem=theta)
-    return normalize_numbering(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +409,11 @@ def _structured_mesh(d: int, k: int, p: int, dirichlet: str,
         raise UnsupportedConfigError(f"unknown dirichlet mode {dirichlet!r}")
     nodes, on_boundary = _grid_nodes(k, d)
     flags = on_boundary if dirichlet == "boundary" else np.zeros(len(nodes), dtype=bool)
-    mesh = normalize_numbering(
-        Mesh(d=d, p=1, nodes=nodes, elements=elements, dirichlet=flags))
+    mesh = Mesh(d=d, p=1, nodes=nodes, elements=elements, dirichlet=flags)
     if p == 2:
-        mesh = insert_midpoints(mesh)
-    elif p != 1:
+        return insert_midpoints(mesh)
+    if p != 1:
         raise UnsupportedConfigError(f"unsupported order p={p}")
-    validate_mesh(mesh)
     return mesh
 
 
@@ -557,12 +544,8 @@ def insert_midpoints(mesh: Mesh, snap=None) -> Mesh:
             pair = pair_index[(halves[0], halves[1])]
             elements[:, s] = mesh.n_nodes + edge_of[:, pair]
 
-    out = normalize_numbering(
-        Mesh(d=mesh.d, p=2, nodes=nodes, elements=elements, dirichlet=dirichlet,
-             theta_elem=mesh.theta_elem)
-    )
-    validate_mesh(out)
-    return out
+    return Mesh(d=mesh.d, p=2, nodes=nodes, elements=elements, dirichlet=dirichlet,
+                theta_elem=mesh.theta_elem)
 
 
 def transform_mesh(mesh: Mesh, fn) -> Mesh:

@@ -100,23 +100,23 @@ def build_system(mesh: Mesh, theta: ConductivityField | None = None,
 
 @dataclass(frozen=True, eq=False)
 class ApproximationBundle:
-    """Quality scalars, H blocks (which hold chi1 = chi2) and the chi3 bounds."""
+    """Quality scalars with the chi3 bounds, and H blocks (chi1 = chi2)."""
 
     quality: quality.QualityReport
     h_blocks: dd_approx.HBlocks
-    chi: spectral.ChiReport
 
 
 def _quality_and_h_blocks(system: AssembledSystem):
-    qual = quality.compute_quality(system.geometries, system.factors,
-                                   system.rule, system.sqp)
+    qual = quality.compute_quality(system.geometries, system.alpha,
+                                   system.factors.beta, system.rule, system.sqp)
     return qual, dd_approx.build_h_blocks(system.factors, system.dbar)
 
 
 def approximate(system: AssembledSystem) -> ApproximationBundle:
+    """Quality report and H blocks, with the chi chain checked."""
     qual, h_blocks = _quality_and_h_blocks(system)
-    chi = spectral.chi_report(h_blocks, qual, dd_approx.chi3_bound(qual))
-    return ApproximationBundle(quality=qual, h_blocks=h_blocks, chi=chi)
+    spectral.chi_report(h_blocks, qual)
+    return ApproximationBundle(quality=qual, h_blocks=h_blocks)
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def verify_system(system: AssembledSystem, *,
         f"max residual {refac.max():.3e}")
 
     jbar_upper = (qual.theta_ratio * qual.det_ratio
-                  * qual.M_q / qual.m_q) ** 0.5 * system.sqp.sigma_qp
+                  * system.rule.M_q / system.rule.m_q) ** 0.5 * system.sqp.sigma_qp
     jbar_lower = system.sqp.tau_qp / ab
     up_ok = bool(np.all(h_blocks.sigma_max <= jbar_upper + 1e-10))
     low_ok = bool(np.all(h_blocks.sigma_min >= jbar_lower - 1e-10))
@@ -191,16 +191,16 @@ def verify_system(system: AssembledSystem, *,
     add("approximation-diagonal-dominance", dd_ok, dd_detail)
 
     try:
-        chi = spectral.chi_report(h_blocks, qual, dd_approx.chi3_bound(qual))
+        spectral.chi_report(h_blocks, qual)
         worst = h_blocks.max_kappa_element
-        add("chi-chain", True,
-            f"max chi1 {worst:.6g} <= max chi2 {worst:.6g} <= chi3 {chi.chi3:.6g}")
+        chain_ok, detail = True, (f"max chi1 {worst:.6g} <= max chi2 {worst:.6g} "
+                                  f"<= chi3 {qual.chi3:.6g}")
     except ConsistencyError as exc:
-        chi = None
-        add("chi-chain", False, str(exc))
+        chain_ok, detail = False, str(exc)
+    add("chi-chain", chain_ok, detail)
 
     n = system.stiffness.shape[0]
-    if chi is not None and 0 < n <= dense_limit:
+    if chain_ok and 0 < n <= dense_limit:
         try:
             glob = spectral.global_support_check(system.stiffness, system.kbar,
                                                  h_blocks)

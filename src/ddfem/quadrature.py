@@ -14,7 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshFormatError, QuadratureWeightError, UnsupportedConfigError
+from .errors import (MeshFormatError, QuadratureVolumeError, QuadratureWeightError,
+                     UnsupportedConfigError)
+
+# Largest absolute error of a monomial integral that still counts as exact.
+EXACTNESS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,11 +58,15 @@ class ExactnessReport:
         return not self.failures
 
 
-def make_rule(d: int, points, weights, name: str = "custom") -> QuadratureRule:
+def make_rule(d: int, points, weights, name: str = "custom",
+              lines=None) -> QuadratureRule:
     """Validate and freeze a quadrature rule.
 
-    Enforces q >= 1, strictly positive weights, and strictly interior points
-    (all coordinates > 0, coordinate sum < 1).
+    Enforces q >= 1, strictly positive weights, strictly interior points
+    (all coordinates > 0, coordinate sum < 1), and weights summing to the
+    reference volume 1/d! (exact on constants, as every order needs).  A
+    rejection names the point's entry of ``lines`` (source line numbers), the
+    sum the first point's.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     wts = np.asarray(weights, dtype=float).reshape(-1)
@@ -75,14 +83,23 @@ def make_rule(d: int, points, weights, name: str = "custom") -> QuadratureRule:
         )
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
         raise UnsupportedConfigError("rule points and weights must be finite")
+    where = [f"line {ln}: " for ln in lines] if lines is not None else [""] * len(wts)
     for k, w in enumerate(wts):
         if not w > 0.0:
-            raise QuadratureWeightError(k, float(w))
+            raise QuadratureWeightError(k, float(w), where[k])
     for k, r in enumerate(pts):
         if not (np.all(r > 0.0) and r.sum() < 1.0):
             raise UnsupportedConfigError(
-                f"Gauss point {k + 1} at {tuple(r)} is not strictly inside the unit simplex"
+                f"{where[k]}Gauss point {k + 1} at {tuple(r.tolist())} is not strictly "
+                f"inside the unit simplex"
             )
+    volume = 1.0 / math.factorial(d)
+    with np.errstate(over="ignore"):   # an infinite sum is rejected below
+        total = float(wts.sum())
+    if not abs(total - volume) <= EXACTNESS_TOL:
+        raise QuadratureVolumeError(
+            f"{where[0]}quadrature weights sum to {total!r}, not the reference simplex "
+            f"volume 1/{math.factorial(d)}: the rule does not integrate constants exactly")
     pts = pts.copy()
     wts = wts.copy()
     pts.setflags(write=False)
@@ -144,7 +161,7 @@ def _monomials_up_to(d: int, degree: int):
 
 
 def verify_exactness(rule: QuadratureRule, degree: int,
-                     tolerance: float = 1e-12) -> ExactnessReport:
+                     tolerance: float = EXACTNESS_TOL) -> ExactnessReport:
     """Compare the rule against the exact integral of every monomial up to degree.
 
     Returns a report carrying the worst absolute error and the list of failing
@@ -190,9 +207,9 @@ def parse_rule_records(records, d: int, name: str = "custom",
                 line=line)
         if len(rec) != d + 1:
             raise UnsupportedConfigError(
-                f"custom rule record {rec} has {len(rec)} fields, expected {d + 1} "
-                f"(coordinates then weight)"
+                f"{'' if line is None else f'line {line}: '}custom rule record {rec} "
+                f"has {len(rec)} fields, expected {d + 1} (coordinates then weight)"
             )
         pts.append(rec[:d])
         wts.append(rec[d])
-    return make_rule(d, pts, wts, name=name)
+    return make_rule(d, pts, wts, name=name, lines=lines)

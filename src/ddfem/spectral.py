@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .dd_approx import HBlocks, chi3_element_bounds
+from .dd_approx import HBlocks
 from .errors import (ConsistencyError, EigensolverError, InfiniteSupportError,
                      SingularSystemError)
 from .solver import KbarFactor, floating_components, leaf_rows, spd_splu
@@ -128,23 +128,16 @@ def condition_pair(a: np.ndarray, b: np.ndarray, *,
     )
 
 
-@dataclass(frozen=True)
-class ChiReport:
-    """Analytic chi3 bounds; chi1 = chi2 is ``HBlocks.kappa_per_element``."""
-
-    chi3_element: np.ndarray    # (m,) element-local analytic bounds
-    chi3: float                 # mesh-level analytic bound
-
-
-def chi_report(h_blocks: HBlocks, quality, chi3_value: float) -> ChiReport:
-    """Check the chain chi1 = chi2 <= chi3_t <= chi3 and return the chi3 bounds.
+def chi_report(h_blocks: HBlocks, quality) -> None:
+    """Check the chain chi1 = chi2 <= chi3_t <= chi3.
 
     Element t's approximation is Kbar_t = s_t A^T A with A the onto star
     incidence, while K_t = A^T (s_t H_t) A.  On the range of A^T the pencil
     (K_t, Kbar_t) therefore has exactly the eigenvalues of H_t, the squared
     singular values of the scaled block (Boman & Hendrickson's splitting
     lemma).  So chi1 is chi2, the condition of H_t, and the directed supports
-    are sigma_max^2 and 1/sigma_min^2; all of them are read from ``h_blocks``.
+    are sigma_max^2 and 1/sigma_min^2; all of them are read from ``h_blocks``,
+    and the analytic bounds chi3_t and chi3 from the ``quality`` report.
     A smallest singular value that is not finite and positive leaves Kbar_t
     without support over K_t and raises InfiniteSupportError.
 
@@ -157,13 +150,13 @@ def chi_report(h_blocks: HBlocks, quality, chi3_value: float) -> ChiReport:
     if not np.all(np.isfinite(sigma_min) & (sigma_min > 0.0)):
         raise InfiniteSupportError(None)
     chi2 = h_blocks.kappa_per_element
-    chi3_elem = chi3_element_bounds(quality)
+    chi3_elem = quality.chi3_element
 
     slack = 1.0 + ORDER_RTOL
     links = [
         ("middle-block condition", chi2, "its analytic bound", chi3_elem),
         ("local analytic bound", chi3_elem, "the mesh-level bound",
-         np.full_like(chi3_elem, chi3_value)),
+         np.full_like(chi3_elem, quality.chi3)),
     ]
     broken = np.array([lower > upper * slack for _, lower, _, upper in links])
     if broken.any():
@@ -171,7 +164,6 @@ def chi_report(h_blocks: HBlocks, quality, chi3_value: float) -> ChiReport:
         name, lower, bound, upper = links[int(np.argmax(broken[:, t]))]
         raise ConsistencyError(f"element {t + 1}: {name} {lower[t]:.6g} exceeds "
                                f"{bound} {upper[t]:.6g}")
-    return ChiReport(chi3_element=chi3_elem, chi3=chi3_value)
 
 
 @dataclass(frozen=True)

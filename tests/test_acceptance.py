@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import ddfem
-from ddfem.dd_approx import chi3_element_bounds
 from ddfem.factorization import element_j_singular_values
 from ddfem.pipeline import check_diagonal_dominance
 from ddfem.solver import cg_iteration_bound, factor_kbar, pcg_solve
@@ -97,8 +96,8 @@ def test_criterion_4_bound_chain(acceptance_cases):
     """chi1 <= chi2 <= chi3 element-wise, plus middle-factor singular bounds."""
     for label, system, bundle in acceptance_cases:
         chi2 = bundle.h_blocks.kappa_per_element   # chi1 = chi2 per element
-        assert np.all(chi2 <= bundle.chi.chi3 * (1 + 1e-8)), label
-        assert np.all(chi2 <= chi3_element_bounds(bundle.quality)
+        assert np.all(chi2 <= bundle.quality.chi3 * (1 + 1e-8)), label
+        assert np.all(chi2 <= bundle.quality.chi3_element
                       * (1 + 1e-8)), label
         sv = element_j_singular_values(system.factors)
         ab = bundle.quality.alpha * bundle.quality.beta
@@ -153,9 +152,9 @@ def test_criterion_6_global_support_at_realistic_size():
         assert report.splitting_ok, label
         kappa_h = bundle.h_blocks.kappa_global
         assert report.kappa <= kappa_h * (1 + 1e-8), label
-        assert kappa_h <= bundle.chi.chi3 * (1 + 1e-8), label
+        assert kappa_h <= bundle.quality.chi3 * (1 + 1e-8), label
         sizes.append(f"n={n} kappa {report.kappa:.4g} <= kappa(H) "
-                     f"{kappa_h:.4g} <= chi3 {bundle.chi.chi3:.4g}")
+                     f"{kappa_h:.4g} <= chi3 {bundle.quality.chi3:.4g}")
     _report(6, "; ".join(sizes))
 
 
@@ -177,7 +176,7 @@ def test_criterion_7_linear_structural_facts():
                                                       rel=1e-10)
         np.testing.assert_allclose(bundle.h_blocks.kappa_per_element,
                                    base.h_blocks.kappa_per_element, rtol=1e-10)
-        assert bundle.chi.chi3 == pytest.approx(base.chi.chi3, rel=1e-10)
+        assert bundle.quality.chi3 == pytest.approx(base.quality.chi3, rel=1e-10)
     _report(7, "identity samples, kappa2 = 1 exactly, scale invariance 1e-3..1e3")
 
 
@@ -189,7 +188,7 @@ def test_criterion_8_conductivity_independence():
     jump = ddfem.approximate(jump_sys)
 
     assert jump.quality.theta_hat == 1.0
-    assert jump.chi.chi3 == pytest.approx(plain.chi.chi3, rel=1e-10)
+    assert jump.quality.chi3 == pytest.approx(plain.quality.chi3, rel=1e-10)
 
     ew_jump = np.linalg.eigvalsh(jump_sys.stiffness.toarray())
     ew_plain = np.linalg.eigvalsh(

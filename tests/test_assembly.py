@@ -29,12 +29,9 @@ def build_single(mesh_nodes, theta=1.0, dirichlet=None, d=2):
     flags = np.zeros(len(nodes), dtype=bool)
     if dirichlet:
         flags[list(dirichlet)] = True
-    mesh = ddfem.Mesh(d=d, p=1, nodes=nodes,
+    return ddfem.Mesh(d=d, p=1, nodes=nodes,
                       elements=np.array([list(range(len(nodes)))]),
                       dirichlet=flags)
-    from ddfem.mesh import normalize_numbering
-
-    return normalize_numbering(mesh)
 
 
 def geometry_of(mesh, theta=1.0):

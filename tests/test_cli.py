@@ -253,10 +253,47 @@ def test_solve_frees_the_system_before_the_factor(tmp_path, capsys, monkeypatch)
     assert alive == [[False]]
 
 
+def test_each_run_builds_shared_stacks_once(tmp_path, capsys, monkeypatch):
+    # solve reads the system's reference tables for its load vector, and
+    # verify's two identity checks share one Gram stack of the factors.
+    from ddfem import assembly, factorization
+    calls = {"tables": 0, "gram": 0}
+    tables, gram = assembly.reference_tables, factorization.ElementFactors.gram.func
+
+    def tables_spy(*args):
+        calls["tables"] += 1
+        return tables(*args)
+
+    def gram_spy(self):
+        calls["gram"] += 1
+        return gram(self)
+
+    monkeypatch.setattr(assembly, "reference_tables", tables_spy)
+    monkeypatch.setattr(factorization.ElementFactors.gram, "func", gram_spy)
+    code, _, _ = run(capsys, "solve", "--kind", "square", "--k", "3", "--p", "2",
+                     "--out", str(tmp_path / "x.txt"))
+    assert (code, calls["tables"]) == (0, 1)
+    code, _, _ = run(capsys, "verify", "--kind", "square", "--k", "3", "--p", "2")
+    assert (code, calls["gram"]) == (0, 1)
+
+
 def test_verify_healthy_mesh(capsys):
     code, out, _ = run(capsys, "verify", "--kind", "square", "--k", "4")
     assert code == 0
     assert "all" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("theta", ["1e200", "1e-200"])
+def test_verify_passes_at_extreme_conductivity_scales(capsys, theta):
+    # Every check is scale invariant; the identity residuals take their norms
+    # of blocks scaled by a power of two, so no square overflows (a NaN
+    # residual) or underflows (a residual of 0) and no warning is raised.
+    code, out, _ = run(capsys, "verify", "--kind", "square", "--k", "3", "--p", "1",
+                       "--theta", theta)
+    assert code == 0
+    assert out.endswith("verify: all 9 checks passed\n")
+    residuals = [line for line in out.splitlines() if "-identity:" in line]
+    assert len(residuals) == 2 and "nan" not in "".join(residuals)
 
 
 def test_verify_corrupt_kbar_exits_2(capsys, monkeypatch):
@@ -463,6 +500,45 @@ def test_bad_quadrature_weight_exits_3(tmp_path, capsys):
                        "--quad", str(qf))
     assert code == 3
     assert "weight" in err
+
+
+@pytest.mark.parametrize("rule,message", [
+    # The weights of every supported order must sum to the triangle's area.
+    ("0.3 0.3 0.25\n0.2 0.5 0.2\n", "line 1: quadrature weights sum to 0.45, not the "
+                                   "reference simplex volume 1/2"),
+    # A huge weight used to overflow in the stiffness (four RuntimeWarnings).
+    ("# overflow\n0.3 0.3 1e308\n", "line 2: quadrature weights sum to 1e+308"),
+    ("0.3 0.3 0.25\n0.2 0.5 1e308\n0.2 0.2 1e308\n", "line 1: quadrature weights "
+                                                     "sum to inf"),
+])
+def test_quadrature_weights_off_the_volume_exit_3(tmp_path, capsys, rule, message):
+    qf = tmp_path / "rule.txt"
+    qf.write_text(rule)
+    for command in ("report", "verify"):
+        code, out, err = run(capsys, command, "--kind", "square", "--k", "2",
+                             "--quad", str(qf))
+        assert (code, out) == (3, "")
+        assert f"assumption violated: {message}" in err
+
+
+@pytest.mark.parametrize("rule,message", [
+    ("0.2 0.2 0.25\n0.3 0.3 0.25 1\n",
+     "line 2: custom rule record [0.3, 0.3, 0.25, 1.0] has 4 fields, expected 3"),
+    ("0.2 0.2 0.25\n2 2 0.25\n",
+     "line 2: Gauss point 2 at (2.0, 2.0) is not strictly inside the unit simplex"),
+    ("0.2 0.2 0.25\n0.3 0.3 -0.25\n", "line 2: quadrature weight 2 is -0.25"),
+])
+def test_rule_record_rejections_name_their_line(tmp_path, capsys, rule, message):
+    qf = tmp_path / "rule.txt"
+    qf.write_text(rule)
+    code, _, err = run(capsys, "report", "--kind", "square", "--k", "2", "--quad", str(qf))
+    assert code in (3, 4)
+    assert message in err and "np.float64" not in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = square\nk = 2\n"
+                   + "".join(f"quad_point = {r}\n" for r in rule.splitlines()))
+    code, _, err = run(capsys, "report", "--config", str(cfg))
+    assert message.replace("line 2", "line 4") in err
 
 
 def test_theta_expression_flag(capsys):

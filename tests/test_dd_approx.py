@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,12 @@ import ddfem
 from ddfem.dd_approx import (
     build_dbar,
     build_h_blocks,
-    chi3_bound,
-    chi3_element_bounds,
     refactorization_residuals,
 )
 from ddfem.errors import InfiniteSupportError
 from ddfem.factorization import ElementFactors, local_incidence
 from ddfem.pipeline import check_diagonal_dominance
-from ddfem.quality import QualityReport
+from ddfem.quality import compute_quality
 from ddfem.spectral import chi_report
 
 from conftest import jump_conductivity
@@ -28,10 +28,12 @@ STAR_LAPLACIAN_3 = np.array([
 
 def synthetic_quality(kappa1=1.0, kappa2=1.0, theta_hat=1.0,
                       sigma=1.0, tau=1.0, m_q=1.0, M_q=1.0):
-    one = np.array([1.0])
-    return QualityReport(alpha=one, beta=one, det_ratio=one, theta_ratio=one,
-                         kappa1=kappa1, kappa2=kappa2, theta_hat=theta_hat,
-                         sigma_qp=sigma, tau_qp=tau, m_q=m_q, M_q=M_q)
+    """The quality report of one element with the given spreads and rule scalars."""
+    geometries = SimpleNamespace(dets=np.array([[1.0, kappa2]]),
+                                 theta_vals=np.array([[1.0, theta_hat]]))
+    return compute_quality(geometries, np.array([kappa1]), np.array([1.0]),
+                           SimpleNamespace(m_q=m_q, M_q=M_q),
+                           SimpleNamespace(sigma_qp=sigma, tau_qp=tau))
 
 
 def test_dbar_identity_triangle(unit_triangle_mesh):
@@ -74,9 +76,7 @@ def test_kbar_dirichlet_reduction_is_spd():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = ddfem.Mesh(d=2, p=1, nodes=nodes, elements=np.array([[0, 1, 2]]),
                       dirichlet=np.array([True, False, False]))
-    from ddfem.mesh import normalize_numbering
-
-    system = ddfem.build_system(normalize_numbering(mesh))
+    system = ddfem.build_system(mesh)
     kbar = system.kbar.toarray()
     assert kbar.shape == (2, 2)
     assert np.linalg.eigvalsh(kbar)[0] > 0
@@ -134,11 +134,12 @@ def test_scaled_block_bounds(p):
     mesh = ddfem.gen_structured_square(3, p=p)
     theta = ddfem.ConductivityField.from_expression("1 + x + 2*y")
     system = ddfem.build_system(mesh, theta)
-    qual = ddfem.compute_quality(system.geometries, system.factors, system.rule,
-                                 system.sqp)
+    qual = ddfem.compute_quality(system.geometries, system.alpha,
+                                 system.factors.beta, system.rule, system.sqp)
     dbar = build_dbar(system.alpha, system.geometries, system.rule)
     h = build_h_blocks(system.factors, dbar)
-    upper = np.sqrt(qual.theta_ratio * qual.det_ratio * qual.M_q / qual.m_q) \
+    upper = np.sqrt(qual.theta_ratio * qual.det_ratio
+                    * system.rule.M_q / system.rule.m_q) \
         * system.sqp.sigma_qp
     lower = system.sqp.tau_qp / (qual.alpha * qual.beta)
     assert np.all(h.sigma_max <= upper + 1e-10)
@@ -148,8 +149,7 @@ def test_scaled_block_bounds(p):
 def _h_blocks_of(j):
     """``build_h_blocks`` of a raw stack: unit weights and scalars scale nothing."""
     m = len(j)
-    factors = ElementFactors(alpha=np.ones(m), beta=np.ones(m),
-                             d_diag=np.ones(j.shape[:2]), j=j)
+    factors = ElementFactors(beta=np.ones(m), d_diag=np.ones(j.shape[:2]), j=j)
     return build_h_blocks(factors, np.ones(m))
 
 
@@ -210,7 +210,7 @@ def test_zero_or_nan_column_has_no_support(bad):
     keep = [0, 1, 3]
     np.testing.assert_allclose(hb.kappa_per_element[keep], 1.0, rtol=1e-13)
     with pytest.raises(InfiniteSupportError):
-        chi_report(hb, synthetic_quality(), 1.0)
+        chi_report(hb, synthetic_quality())
 
 
 def test_refactorization_identity_on_meshes():
@@ -224,18 +224,18 @@ def test_refactorization_identity_on_meshes():
 
 
 def test_chi3_all_unity():
-    assert chi3_bound(synthetic_quality()) == pytest.approx(1.0)
+    assert synthetic_quality().chi3 == pytest.approx(1.0)
 
 
 def test_chi3_square_of_kappa1():
     # matches the published magnitude for a linear mesh with shape 4.1
-    assert chi3_bound(synthetic_quality(kappa1=4.1)) == pytest.approx(16.81)
+    assert synthetic_quality(kappa1=4.1).chi3 == pytest.approx(16.81)
 
 
 def test_chi3_quadratic_magnitude():
     sqp = ddfem.build_sqp(ddfem.make_reference(2, 2), ddfem.standard_rule(2, 2))
-    value = chi3_bound(synthetic_quality(kappa1=4.7, kappa2=1.3,
-                                         sigma=sqp.sigma_qp, tau=sqp.tau_qp))
+    value = synthetic_quality(kappa1=4.7, kappa2=1.3,
+                              sigma=sqp.sigma_qp, tau=sqp.tau_qp).chi3
     assert 1000 < value < 1300
 
 
@@ -243,9 +243,9 @@ def test_chi3_element_bounds_below_global():
     mesh = ddfem.gen_structured_square(3, p=2)
     system = ddfem.build_system(mesh)
     bundle = ddfem.approximate(system)
-    local = chi3_element_bounds(bundle.quality)
+    local = bundle.quality.chi3_element
     assert np.all(bundle.h_blocks.kappa_per_element <= local * (1 + 1e-8))
-    assert np.all(local <= bundle.chi.chi3 * (1 + 1e-8))
+    assert np.all(local <= bundle.quality.chi3 * (1 + 1e-8))
 
 
 def test_max_element_kappa_vs_global():
@@ -270,7 +270,7 @@ def test_rescaling_leaves_conditioning_alone(scale, maker):
     scaled = ddfem.approximate(scaled_sys)
     np.testing.assert_allclose(scaled.h_blocks.kappa_per_element,
                                base.h_blocks.kappa_per_element, rtol=1e-10)
-    assert scaled.chi.chi3 == pytest.approx(base.chi.chi3, rel=1e-10)
+    assert scaled.quality.chi3 == pytest.approx(base.quality.chi3, rel=1e-10)
 
 
 def test_element_kbar_blocks_match_global(two_triangle_square):

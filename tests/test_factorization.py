@@ -17,7 +17,6 @@ from ddfem.factorization import (
     local_incidence,
     spectral_norm,
 )
-from ddfem.mesh import normalize_numbering
 
 from conftest import jump_conductivity
 
@@ -26,11 +25,10 @@ def single_triangle(dirichlet=()):
     flags = np.zeros(3, dtype=bool)
     for i in dirichlet:
         flags[i] = True
-    mesh = ddfem.Mesh(d=2, p=1,
+    return ddfem.Mesh(d=2, p=1,
                       nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                       elements=np.array([[0, 1, 2]]),
                       dirichlet=flags)
-    return normalize_numbering(mesh)
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,7 +84,7 @@ def test_local_incidence_shape():
 def test_identity_element_factors(unit_triangle_mesh):
     system = ddfem.build_system(unit_triangle_mesh)
     fac = system.factors
-    assert fac.alpha[0] == pytest.approx(1.0)
+    assert system.alpha[0] == pytest.approx(1.0)
     assert fac.beta[0] == pytest.approx(1.0)
     np.testing.assert_allclose(fac.j[0], np.eye(2), atol=1e-15)
     np.testing.assert_allclose(fac.d_diag[0], [0.5, 0.5])
@@ -99,9 +97,9 @@ def test_scaling_cancels_in_alpha_beta():
                       dirichlet=np.zeros(3, dtype=bool))
     system = ddfem.build_system(mesh)
     fac = system.factors
-    assert fac.alpha[0] == pytest.approx(1.0 / h)
+    assert system.alpha[0] == pytest.approx(1.0 / h)
     assert fac.beta[0] == pytest.approx(h)
-    assert fac.alpha[0] * fac.beta[0] == pytest.approx(1.0)
+    assert system.alpha[0] * fac.beta[0] == pytest.approx(1.0)
 
 
 def test_sliver_blows_up_alpha_beta():
@@ -110,8 +108,8 @@ def test_sliver_blows_up_alpha_beta():
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, eps]])
         mesh = ddfem.Mesh(d=2, p=1, nodes=nodes, elements=np.array([[0, 1, 2]]),
                           dirichlet=np.zeros(3, dtype=bool))
-        fac = ddfem.build_system(mesh).factors
-        products.append(fac.alpha[0] * fac.beta[0])
+        system = ddfem.build_system(mesh)
+        products.append(system.alpha[0] * system.factors.beta[0])
     assert products[0] < products[1] < products[2]
     assert products[2] > 1e4
 
@@ -140,11 +138,10 @@ def test_alpha_beta_accurate_on_slivers():
                       dirichlet=np.zeros(4, dtype=bool))
     system = ddfem.build_system(mesh)
     geom = system.geometries
-    for got, blocks in ((system.factors.alpha, geom.inverse_transposes),
+    for got, blocks in ((system.alpha, geom.inverse_transposes),
                         (system.factors.beta, geom.jacobians)):
         want = _largest_norm_reference(blocks)
         assert np.all(np.abs(got - want) <= 2e-15 * want)
-    np.testing.assert_array_equal(system.alpha, system.factors.alpha)
 
 
 def _rotation(angle):
@@ -325,7 +322,7 @@ def test_identity_hand_check(unit_triangle_mesh):
     # With the identity map the middle factors collapse to diag(1/2), so the
     # product is half the star Laplacian, which is the known element matrix.
     system = ddfem.build_system(unit_triangle_mesh)
-    gram = system.factors.gram()[0]
+    gram = system.factors.gram[0]
     local = local_incidence(3)
     product = local.T @ gram @ local
     np.testing.assert_allclose(product, system.element_stiffness[0], atol=1e-15)
@@ -351,7 +348,7 @@ def test_j_singular_value_bounds(d, p):
     fac = system.factors
     for t in range(mesh.n_elements):
         assert sv[t, 0] <= system.sqp.sigma_qp + 1e-10
-        assert sv[t, 1] >= system.sqp.tau_qp / (fac.alpha[t] * fac.beta[t]) - 1e-10
+        assert sv[t, 1] >= system.sqp.tau_qp / (system.alpha[t] * fac.beta[t]) - 1e-10
 
 
 def test_d_diag_strictly_positive():

@@ -19,8 +19,6 @@ from ddfem.mesh import (
     _edge_table,
     _read_arrays,
     _read_lines,
-    normalize_numbering,
-    validate_mesh,
 )
 from ddfem.reference_element import node_count
 
@@ -336,7 +334,7 @@ def test_reader_rejections_across_blocks(edits, line, fragment):
 @pytest.mark.parametrize("text,line,fragment", [
     ("", 1, "empty mesh file"),
     ("ddfem-mesh v1 d=2 p=1\n# only a comment\n", 1, "mesh has no nodes"),
-    ("ddfem-mesh v1 d=2 p=1\nnode 1 0 0 0\n", None, "mesh has no elements"),
+    ("ddfem-mesh v1 d=2 p=1\nnode 1 0 0 0\n", 1, "mesh has no elements"),
 ])
 def test_reader_rejects_empty_parts(text, line, fragment):
     with pytest.raises(MeshFormatError) as exc:
@@ -520,17 +518,55 @@ def test_invariant_violations():
 
 
 def test_normalize_numbering_stable():
-    mesh = ddfem.Mesh(
+    # Construction puts the free nodes first, in their given order.
+    out = ddfem.Mesh(
         d=2, p=1,
         nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         elements=np.array([[0, 1, 2]]),
         dirichlet=np.array([True, False, False]),
     )
-    out = normalize_numbering(mesh)
-    validate_mesh(out)
     np.testing.assert_array_equal(out.dirichlet, [False, False, True])
     np.testing.assert_allclose(out.nodes, [[1, 0], [0, 1], [0, 0]])
     np.testing.assert_array_equal(out.elements, [[2, 0, 1]])
+    np.testing.assert_array_equal(out.permutation, [2, 0, 1])
+
+
+@pytest.mark.parametrize("k,p", [(2, 1), (3, 2)])
+def test_hand_built_mesh_with_dirichlet_first_gives_the_generated_k(k, p):
+    # The generated mesh's nodes in reverse order put every Dirichlet node
+    # ahead of the free ones; the Mesh reorders them and records how.  At
+    # k=2, p=1 an unordered mesh once gave K = [[1]] against [[4]].
+    gen = ddfem.gen_structured_square(k, p=p)
+    last = gen.n_nodes - 1
+    hand = ddfem.Mesh(d=2, p=p, nodes=gen.nodes[::-1], elements=last - gen.elements,
+                      dirichlet=gen.dirichlet[::-1])
+    stored = hand.permutation[last - np.arange(gen.n_free)]
+    want = ddfem.build_system(gen).stiffness.toarray()
+    got = ddfem.build_system(hand).stiffness.toarray()
+    # Element-major sums in another node order: equal to roundoff.
+    np.testing.assert_allclose(got[np.ix_(stored, stored)], want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("fields,fragment", [
+    ({"elements": np.array([[0, 1, 3]])}, "element 1 references node 4, out of range 1..3"),
+    ({"elements": np.array([[0, 1, 1]])}, "element 1 repeats node 2"),
+    ({"elements": np.array([[0, 1]])}, "integer elements (m, 3), got (3, 2), bool (3,) "
+                                        "and int64 (1, 2)"),
+    ({"elements": np.array([[0.0, 1.0, 2.0]])}, "and float64 (1, 3)"),
+    ({"nodes": np.zeros((3, 3))}, "a d=2 p=1 mesh needs nodes (n, 2), "),
+    ({"dirichlet": np.zeros(3, dtype=int)}, "got (3, 2), int64 (3,)"),
+    ({"p": 3}, "a d=2 p=3 mesh needs"),
+    ({"theta_elem": np.ones(2)}, "per-element conductivity length does not match m"),
+    ({"nodes": np.zeros((4, 2)), "dirichlet": np.zeros(4, dtype=bool)},
+     "node 4 is not referenced by any element"),
+])
+def test_hand_built_mesh_rejected_at_construction(fields, fragment):
+    # Not an IndexError deep in element_geometry: the Mesh never exists.
+    args = dict(d=2, p=1, nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                elements=np.array([[0, 1, 2]]), dirichlet=np.zeros(3, dtype=bool))
+    with pytest.raises(MeshInvariantError) as exc:
+        ddfem.Mesh(**{**args, **fields})
+    assert fragment in str(exc.value)
 
 
 def test_conductivity_modes():

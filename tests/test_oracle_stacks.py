@@ -88,7 +88,7 @@ def test_element_stacks_match_loops(case):
     h_loop = np.array([o[3] for o in oracle])
     _close_blocks(system.element_stiffness, k_loop, RTOL_ELEMENT)
     _close_blocks(bundle.h_blocks.h, h_loop, RTOL_ELEMENT)
-    np.testing.assert_allclose(system.factors.alpha, [o[1] for o in oracle],
+    np.testing.assert_allclose(system.alpha, [o[1] for o in oracle],
                                rtol=RTOL_ELEMENT)
     np.testing.assert_allclose(system.factors.beta, [o[2] for o in oracle],
                                rtol=RTOL_ELEMENT)

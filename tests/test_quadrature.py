@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddfem
-from ddfem.errors import QuadratureWeightError, UnsupportedConfigError
+from ddfem.errors import (QuadratureVolumeError, QuadratureWeightError,
+                          UnsupportedConfigError)
 from ddfem.quadrature import parse_rule_records
 
 SIMPLEX_VOLUME = {2: 0.5, 3: 1.0 / 6.0}
@@ -124,6 +125,8 @@ def test_custom_rule_validation():
         ddfem.make_rule(2, [(0.3, 0.3, 0.1)], [0.5])
     with pytest.raises(UnsupportedConfigError):
         ddfem.make_rule(2, [(0.3, 0.3)], [np.inf])
+    with pytest.raises(QuadratureVolumeError, match="line 7: .* volume 1/6"):
+        ddfem.make_rule(3, [(0.2, 0.2, 0.2), (0.1, 0.1, 0.1)], [0.1, 0.1], lines=[7, 9])
 
 
 def test_parse_rule_records():

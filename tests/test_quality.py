@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import ddfem
+from ddfem.cli import main
 from ddfem.quality import compute_quality
 
 from conftest import ring_snap
@@ -11,7 +14,8 @@ GOLDEN_KAPPA1 = (3.0 + np.sqrt(5.0)) / 2.0   # structured-square triangle shape
 
 def quality_of(mesh, theta=None, rule=None):
     system = ddfem.build_system(mesh, theta, rule)
-    return compute_quality(system.geometries, system.factors, system.rule, system.sqp)
+    return compute_quality(system.geometries, system.alpha, system.factors.beta,
+                           system.rule, system.sqp)
 
 
 def test_structured_square_kappa1():
@@ -90,8 +94,11 @@ def test_quality_rotation_invariant(angle):
     np.testing.assert_allclose(rotated.beta, base.beta, rtol=1e-12)
 
 
-def test_report_carries_rule_and_sample_scalars():
-    qual = quality_of(ddfem.gen_structured_square(2, p=2))
-    assert qual.sigma_qp == pytest.approx(5.2577, abs=1e-3)
-    assert qual.tau_qp == pytest.approx(0.8337, abs=1e-3)
-    assert qual.M_q / qual.m_q == pytest.approx(1.0)
+def test_report_carries_rule_and_sample_scalars(capsys):
+    # The report reads them from their owners, SqpMatrix and QuadratureRule.
+    assert main(["report", "--kind", "square", "--k", "2", "--p", "2",
+                 "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["sigma_qp"] == pytest.approx(5.2577, abs=1e-3)
+    assert data["tau_qp"] == pytest.approx(0.8337, abs=1e-3)
+    assert data["weight_ratio"] == pytest.approx(1.0)

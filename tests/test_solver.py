@@ -45,11 +45,9 @@ def test_factor_names_the_floating_component():
     # one anchored triangle, one floating triangle
     nodes = np.array([[0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6]], dtype=float)
     flags = np.array([True, False, False, False, False, False])
-    from ddfem.mesh import normalize_numbering
-
-    mesh = normalize_numbering(ddfem.Mesh(
+    mesh = ddfem.Mesh(
         d=2, p=1, nodes=nodes, elements=np.array([[0, 1, 2], [3, 4, 5]]),
-        dirichlet=flags))
+        dirichlet=flags)
     system = ddfem.build_system(mesh)
     with pytest.raises(SingularSystemError):
         factor_kbar(system.kbar)

@@ -127,7 +127,7 @@ def test_chi_report_on_mesh():
     system = ddfem.build_system(mesh)
     bundle = ddfem.approximate(system)
     chi2 = bundle.h_blocks.kappa_per_element   # chi1 = chi2 per element
-    assert np.all(chi2 <= bundle.chi.chi3_element * (1 + 1e-8))
+    assert np.all(chi2 <= bundle.quality.chi3_element * (1 + 1e-8))
     # linear elements under the one-point rule: the approximation is spot on
     np.testing.assert_allclose(chi2, (bundle.quality.alpha
                                       * bundle.quality.beta) ** 2, rtol=1e-10)
@@ -141,7 +141,7 @@ def test_chi_report_rejects_inconsistent_inputs(unit_triangle_mesh):
     broken = dataclasses.replace(h, sigma_max=2.0 * h.sigma_max,
                                  kappa_per_element=4.0 * h.kappa_per_element)
     with pytest.raises(ConsistencyError):
-        chi_report(broken, bundle.quality, bundle.chi.chi3)
+        chi_report(broken, bundle.quality)
 
 
 def test_chi_report_rejects_rank_deficient_approximation(two_triangle_square):
@@ -152,8 +152,7 @@ def test_chi_report_rejects_rank_deficient_approximation(two_triangle_square):
         sigma_min = h.sigma_min.copy()
         sigma_min[1] = bad
         with pytest.raises(InfiniteSupportError):
-            chi_report(dataclasses.replace(h, sigma_min=sigma_min),
-                       bundle.quality, bundle.chi.chi3)
+            chi_report(dataclasses.replace(h, sigma_min=sigma_min), bundle.quality)
 
 
 def test_condition_pair_broadcasts_over_stacks():
